@@ -1,54 +1,28 @@
-// Huge-scale extension bench (BENCH_hotpath.json): how the event-loop
-// structures behave as the pending/ready populations grow from 10^3 to
-// 10^6+ — the regime the paper's 1000-transaction runs never enter.
+// Huge-scale extension bench (BENCH_hotpath.json): simulator events/sec
+// as the population grows from 10^3 to 10^6+ txns — the regime the
+// paper's 1000-transaction runs never enter.
 //
-// Three series:
+// Open-system runs at populations 10^3..10^6 (10^7 with --pop7), the
+// workload streamed by StreamingWorkloadGenerator and executed under
+// ASETS* on 4 servers with aborts + retries feeding the pending queue
+// and workflows feeding the dependency graph. Each run's schedule digest
+// is printed, so a change that moves behaviour at scale shows up next
+// to its cost. events/sec rows land in BENCH_hotpath.json; the 10^6 row
+// is the huge-scale floor scripts/check.sh --bench-gate holds.
 //
-//   1. Pending-tier micro: hold-N churn (pop the earliest, push a new
-//      event slightly ahead — the DES steady state) through the
-//      historical binary heap and the calendar queue, at N from 2^10 to
-//      2^18. The heap's log-N sift paths thrash the cache as N grows;
-//      the wheel stays amortized O(1).
-//   2. Ready-tier micro: the ASETS* hot-path pattern (update storms on
-//      live keys punctuated by pops) through IndexedPriorityQueue and
-//      LazyDeleteHeap at the same range.
-//   3. End-to-end: open-system runs at populations 10^3..10^6
-//      (10^7 with --pop7), workload streamed by
-//      StreamingWorkloadGenerator, executed under three variants — the
-//      historical structures ("old": heap + spec vector + indexed
-//      ASETS*), the SimOptions structure knobs ("new": wheel + arena
-//      SoA), and the knobs plus the tombstone-heap policy ("lazy":
-//      + ASETS*-lazy). All three MUST produce byte-identical
-//      ScheduleDigests — the bench doubles as a scale-level
-//      differential test and exits 1 on divergence. events/sec rows
-//      land in BENCH_hotpath.json.
-//
-// The acceptance claim lives in the pending micro at n=262144: the
-// wheel's ops/sec must be >= 2x the heap's at that population
-// (wheel_speedup row), while the 10^6-txn end-to-end run proves the
-// huge population is feasible and byte-identity holds at scale. The
-// e2e speedup itself is near 1x by design — the pending tier only
-// holds the retry/deferral backlog, a small slice of each event's
-// work at the paper-shaped configs.
-//
-// Flags: --smoke runs the 10^5 end-to-end differential plus one micro
-// size (CI guard, seconds); --pop7 adds the 10^7 end-to-end point.
+// Flags: --smoke runs only the 10^5 point (CI guard, seconds); --pop7
+// adds the 10^7 point.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
-#include <queue>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/calendar_queue.h"
-#include "common/rng.h"
 #include "exp/chaos.h"
-#include "sched/indexed_priority_queue.h"
-#include "sched/lazy_delete_heap.h"
 #include "sched/policy_factory.h"
 #include "sim/fault_plan.h"
 #include "workload/streaming_generator.h"
@@ -62,107 +36,16 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-struct WheelTraits {
-  static double TimeOf(const internal::PendingEvent& e) { return e.time; }
-  static bool Before(const internal::PendingEvent& a,
-                     const internal::PendingEvent& b) {
-    return internal::PendingAfter{}(b, a);
-  }
-};
-
-/// Hold-N churn ops/sec through any pending-queue shaped structure
-/// (pop earliest + push one event a random stride ahead).
-template <typename Queue>
-double PendingChurnRate(size_t n, size_t ops) {
-  Queue q;
-  Rng rng(42);
-  uint32_t id = 0;
-  for (size_t i = 0; i < n; ++i) {
-    q.push(internal::PendingEvent{rng.NextDouble() * 64.0,
-                                  static_cast<uint8_t>(i & 1), id++});
-  }
-  const auto start = Clock::now();
-  for (size_t i = 0; i < ops; ++i) {
-    const internal::PendingEvent head = q.top();
-    q.pop();
-    q.push(internal::PendingEvent{head.time + rng.NextDouble() * 64.0,
-                                  static_cast<uint8_t>(i & 1), id++});
-  }
-  const double elapsed = SecondsSince(start);
-  return static_cast<double>(ops) / elapsed;
-}
-
-// std::priority_queue exposes const top(); the wheel's top() is
-// non-const (promotion). Wrap the heap so one template serves both.
-class HeapPending {
- public:
-  internal::PendingEvent top() { return q_.top(); }
-  void pop() { q_.pop(); }
-  void push(const internal::PendingEvent& e) { q_.push(e); }
-
- private:
-  std::priority_queue<internal::PendingEvent,
-                      std::vector<internal::PendingEvent>,
-                      internal::PendingAfter>
-      q_;
-};
-
-/// ASETS*-shaped ready-tier ops/sec: mostly key updates on live ids,
-/// every 8th op a pop + re-push. Identical op stream for both structures.
-template <typename Queue>
-double ReadyStormRate(size_t n, size_t ops) {
-  Queue q;
-  q.Reserve(n);
-  Rng rng(43);
-  for (uint32_t id = 0; id < n; ++id) {
-    q.Push(id, rng.NextDouble() * 1e6);
-  }
-  const auto start = Clock::now();
-  for (size_t i = 0; i < ops; ++i) {
-    if ((i & 7) == 7) {
-      const uint32_t popped = q.Pop();
-      q.Push(popped, 1e6 + rng.NextDouble() * 1e6);
-    } else {
-      q.Update(static_cast<uint32_t>(rng.NextInRange(0, n - 1)),
-               rng.NextDouble() * 1e6);
-    }
-  }
-  const double elapsed = SecondsSince(start);
-  return static_cast<double>(ops) / elapsed;
-}
-
 struct EndToEnd {
   double events_per_sec = 0.0;
   uint64_t digest = 0;
   size_t events = 0;
 };
 
-struct Variant {
-  const char* label;
-  PendingQueueImpl pending_queue;
-  TxnStoreLayout txn_store;
-  const char* policy;
-};
-
-// "old" is the historical configuration, "new" flips exactly the two
-// SimOptions structure knobs, "lazy" additionally swaps the policy's
-// internal heaps — all three must digest identically. The lazy row is
-// reported separately because its tombstone pruning runs on the
-// read-top path and costs measurable events/sec at small ready
-// populations (see the class comment in sched/lazy_delete_heap.h).
-constexpr Variant kVariants[] = {
-    {"old", PendingQueueImpl::kBinaryHeap, TxnStoreLayout::kSpecVector,
-     "ASETS*"},
-    {"new", PendingQueueImpl::kCalendarQueue, TxnStoreLayout::kArenaSoA,
-     "ASETS*"},
-    {"lazy", PendingQueueImpl::kCalendarQueue, TxnStoreLayout::kArenaSoA,
-     "ASETS*-lazy"},
-};
-
 /// One open-system run at population `n`: streamed workload, aborts +
-/// retries feeding the pending tier, workflows feeding the successor
-/// arena.
-EndToEnd RunEndToEnd(size_t n, const Variant& variant) {
+/// retries feeding the pending queue, workflows feeding the dependency
+/// graph.
+EndToEnd RunEndToEnd(size_t n) {
   WorkloadSpec spec;
   spec.num_transactions = n;
   spec.utilization = 0.9;
@@ -189,15 +72,13 @@ EndToEnd RunEndToEnd(size_t n, const Variant& variant) {
   options.fault_plan = plan.ValueOrDie();
   options.retry.max_attempts = 3;
   options.retry.backoff = 1.0;
-  options.pending_queue = variant.pending_queue;
-  options.txn_store = variant.txn_store;
 
   EndToEnd out;
   const int reps = n <= 100000 ? 3 : 1;  // big runs are deterministic
   for (int rep = 0; rep < reps; ++rep) {
     auto sim = Simulator::Create(txns, options);
     WEBTX_CHECK(sim.ok()) << sim.status();
-    auto policy = CreatePolicy(variant.policy);
+    auto policy = CreatePolicy("ASETS*");
     WEBTX_CHECK(policy.ok()) << policy.status();
     const auto start = Clock::now();
     const RunResult result = sim.ValueOrDie().Run(*policy.ValueOrDie());
@@ -221,34 +102,6 @@ int RunBench(bool smoke, bool pop7) {
   };
   const std::string suffix = smoke ? "-smoke" : "";
 
-  // --- Structure micro series ---------------------------------------
-  const std::vector<size_t> micro_sizes =
-      smoke ? std::vector<size_t>{65536}
-            : std::vector<size_t>{1024, 16384, 262144};
-  for (const size_t n : micro_sizes) {
-    const size_t ops = smoke ? 200000 : 1000000;
-    const double heap = PendingChurnRate<HeapPending>(n, ops);
-    const double wheel =
-        PendingChurnRate<CalendarQueue<internal::PendingEvent, WheelTraits>>(
-            n, ops);
-    const std::string label = "pending n=" + std::to_string(n) + suffix;
-    row(label + " heap", "ops_per_sec", heap, "1/s");
-    row(label + " wheel", "ops_per_sec", wheel, "1/s");
-    row(label, "wheel_speedup", wheel / heap, "x");
-    std::cout << label << ": heap " << heap << " ops/s, wheel " << wheel
-              << " ops/s (" << wheel / heap << "x)\n";
-
-    const double ipq = ReadyStormRate<IndexedPriorityQueue>(n, ops);
-    const double lazy = ReadyStormRate<LazyDeleteHeap>(n, ops);
-    const std::string ready = "ready n=" + std::to_string(n) + suffix;
-    row(ready + " ipq", "ops_per_sec", ipq, "1/s");
-    row(ready + " lazy", "ops_per_sec", lazy, "1/s");
-    row(ready, "lazy_speedup", lazy / ipq, "x");
-    std::cout << ready << ": ipq " << ipq << " ops/s, lazy " << lazy
-              << " ops/s (" << lazy / ipq << "x)\n";
-  }
-
-  // --- End-to-end events/sec vs population, with digest differential -
   std::vector<size_t> populations;
   if (smoke) {
     populations = {100000};
@@ -256,36 +109,17 @@ int RunBench(bool smoke, bool pop7) {
     populations = {1000, 10000, 100000, 1000000};
     if (pop7) populations.push_back(10000000);
   }
-  int failures = 0;
   for (const size_t n : populations) {
     const std::string label = "e2e n=" + std::to_string(n) + suffix;
-    EndToEnd runs[3];
-    for (int v = 0; v < 3; ++v) {
-      runs[v] = RunEndToEnd(n, kVariants[v]);
-      row(label + " " + kVariants[v].label, "events_per_sec",
-          runs[v].events_per_sec, "1/s");
-      if (v > 0 && runs[v].digest != runs[0].digest) {
-        std::cerr << "ext_huge_scale: DIGEST DIVERGENCE at n=" << n << " ("
-                  << kVariants[v].label << "): old structures " << std::hex
-                  << runs[0].digest << ", variant " << runs[v].digest
-                  << std::dec << "\n";
-        ++failures;
-      }
-    }
-    row(label, "new_speedup",
-        runs[1].events_per_sec / runs[0].events_per_sec, "x");
-    std::cout << label << ": old " << runs[0].events_per_sec
-              << " events/s, new " << runs[1].events_per_sec << " ("
-              << runs[1].events_per_sec / runs[0].events_per_sec
-              << "x), lazy " << runs[2].events_per_sec << " — "
-              << runs[0].events << " events, digests "
-              << (failures == 0 ? "byte-identical across all variants"
-                                : "DIVERGED")
-              << "\n";
+    const EndToEnd run = RunEndToEnd(n);
+    row(label, "events_per_sec", run.events_per_sec, "1/s");
+    std::cout << label << ": " << run.events_per_sec << " events/s, "
+              << run.events << " events, digest " << std::hex << run.digest
+              << std::dec << "\n";
   }
 
   bench::WriteBenchRows(rows);
-  return failures > 0 ? 1 : 0;
+  return 0;
 }
 
 }  // namespace

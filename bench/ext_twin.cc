@@ -336,12 +336,12 @@ int main() {
 
   // ------------------------------------------------------------------
   // Decision-loop cost grid: the per-tick forecast fan-out at 2/4/8/16
-  // candidates under four forecast-execution configurations, measured
+  // candidates under three forecast-execution configurations, measured
   // on an isolated TwinForecastEngine over a fixed snapshot (stable
   // wall clock — no executor threads competing for cores). The contract
-  // half is hard-gated on whole twin runs (rebuilt, pooled, and
-  // threads=8 digests must be byte-identical — execution strategy may
-  // only change cost); the perf half is recorded as bench rows and
+  // half is hard-gated on whole twin runs (serial and threads=8 digests
+  // must be byte-identical — execution strategy may only change cost);
+  // the perf half is recorded as bench rows and
   // gated against the committed baseline by scripts/check.sh
   // --bench-gate. serial_speedup relates the optimized loop to the
   // "twin_seed_baseline" family — the per-candidate
@@ -360,21 +360,19 @@ int main() {
         return b.value;
       }
     }
-    return 0.0;  // not pinned yet: fall back to this binary's rebuilt path
+    return 0.0;  // not pinned yet: fall back to this binary's pooled loop
   };
 
   std::printf("\nDecision-loop cost grid (ms per control tick):\n\n");
   const std::vector<std::string> grid_header = {
-      "candidates", "seed_ms",       "rebuilt_ms",  "pooled_ms",
-      "prune_ms",   "threads8_ms",   "seed_speedup", "winner_match"};
+      "candidates",  "seed_ms",      "pooled_ms",   "prune_ms",
+      "threads8_ms", "seed_speedup", "winner_match"};
   Table grid(grid_header);
   bool decision_digests_ok = true;
   for (const size_t cand : {size_t{2}, size_t{4}, size_t{8}, size_t{16}}) {
     rt::TwinOptions base = BaseOptions();
     base.candidates = DecisionCandidates(cand);
 
-    rt::TwinOptions rebuilt = base;
-    rebuilt.pooled_forecasts = false;
     const rt::TwinOptions pooled = base;  // pooled serial is the default
     rt::TwinOptions prune = base;
     prune.prune = true;
@@ -382,22 +380,19 @@ int main() {
     threads8.forecast_threads = 8;
 
     // Contract: whole twin runs across the digest-neutral variants.
-    const uint64_t rebuilt_digest = TwinDigestOf(rebuilt, arrivals);
     const uint64_t pooled_digest = TwinDigestOf(pooled, arrivals);
     const uint64_t threads8_digest = TwinDigestOf(threads8, arrivals);
-    if (rebuilt_digest != pooled_digest || pooled_digest != threads8_digest) {
+    if (pooled_digest != threads8_digest) {
       std::fprintf(stderr,
                    "ext_twin: decision digests DIVERGED at %zu candidates "
-                   "(rebuilt %016llx pooled %016llx threads8 %016llx)\n",
-                   cand, static_cast<unsigned long long>(rebuilt_digest),
-                   static_cast<unsigned long long>(pooled_digest),
+                   "(pooled %016llx threads8 %016llx)\n",
+                   cand, static_cast<unsigned long long>(pooled_digest),
                    static_cast<unsigned long long>(threads8_digest));
       decision_digests_ok = false;
     }
     const bool prune_same = TwinDigestOf(prune, arrivals) == pooled_digest;
 
     // Cost: the isolated per-tick fan-out.
-    const DecisionLoopResult rebuilt_loop = MeasureDecisionLoop(rebuilt);
     const DecisionLoopResult pooled_loop = MeasureDecisionLoop(pooled);
     const DecisionLoopResult prune_loop = MeasureDecisionLoop(prune);
     const DecisionLoopResult threads8_loop = MeasureDecisionLoop(threads8);
@@ -414,9 +409,9 @@ int main() {
     if (seed_ms <= 0.0) {
       std::printf(
           "(no twin_seed_baseline row for cand=%zu; using this binary's "
-          "rebuilt path as the serial baseline)\n",
+          "pooled loop as the serial baseline)\n",
           cand);
-      seed_ms = rebuilt_loop.ms_per_tick;
+      seed_ms = pooled_loop.ms_per_tick;
     }
     // The gated headline: pooling + pruning vs the seed decision loop,
     // both strictly serial (forecast_threads 1) — no parallel credit.
@@ -431,9 +426,8 @@ int main() {
             : 0.0;
     grid.AddNumericRow(
         std::to_string(cand),
-        {seed_ms, rebuilt_loop.ms_per_tick, pooled_loop.ms_per_tick,
-         prune_loop.ms_per_tick, threads8_loop.ms_per_tick, seed_speedup,
-         winner_match});
+        {seed_ms, pooled_loop.ms_per_tick, prune_loop.ms_per_tick,
+         threads8_loop.ms_per_tick, seed_speedup, winner_match});
 
     const std::string tag = "decision cand=" + std::to_string(cand);
     const auto emit_loop = [&rows, &tag](const std::string& variant,
@@ -444,7 +438,6 @@ int main() {
                                      "forecast_events_per_sec",
                                      loop.events_per_sec, "1/s"});
     };
-    emit_loop("rebuilt", rebuilt_loop);
     emit_loop("pooled", pooled_loop);
     emit_loop("prune", prune_loop);
     emit_loop("threads8", threads8_loop);

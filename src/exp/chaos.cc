@@ -123,8 +123,6 @@ Result<RunResult> RunChaosCase(const ChaosCase& c) {
   options.record_outcomes = true;
   options.record_schedule = true;
   options.retry = c.retry;
-  options.pending_queue = c.pending_queue;
-  options.txn_store = c.txn_store;
   WEBTX_ASSIGN_OR_RETURN(options.fault_plan, FaultPlan::Create(c.fault));
   if (c.admission_max_ready > 0) {
     QueueDepthAdmissionOptions admission;
@@ -205,14 +203,6 @@ std::string SerializeChaosCase(const ChaosCase& c) {
      << FormatDouble(c.retry.backoff_multiplier) << "\n";
   os << "retry_max_backoff " << FormatDouble(c.retry.max_backoff) << "\n";
   os << "admission_max_ready " << c.admission_max_ready << "\n";
-  // Structure knobs only when non-default: historical replay files (and
-  // their byte-for-byte reserialization) predate these keys.
-  if (c.pending_queue != PendingQueueImpl::kBinaryHeap) {
-    os << "pending_queue wheel\n";
-  }
-  if (c.txn_store != TxnStoreLayout::kSpecVector) {
-    os << "txn_store soa\n";
-  }
   for (const uint64_t key : c.fault.suppressed_crashes) {
     os << "suppress_crash " << FaultOrdinalServer(key) << " "
        << FaultOrdinalIndex(key) << "\n";
@@ -316,22 +306,6 @@ Result<ChaosCase> ParseChaosReplay(const std::string& text) {
     } else if (key == "admission_max_ready") {
       if (!ParseU64(value, &u)) return bad();
       c.admission_max_ready = u;
-    } else if (key == "pending_queue") {
-      if (value == "heap") {
-        c.pending_queue = PendingQueueImpl::kBinaryHeap;
-      } else if (value == "wheel") {
-        c.pending_queue = PendingQueueImpl::kCalendarQueue;
-      } else {
-        return bad();
-      }
-    } else if (key == "txn_store") {
-      if (value == "vec") {
-        c.txn_store = TxnStoreLayout::kSpecVector;
-      } else if (value == "soa") {
-        c.txn_store = TxnStoreLayout::kArenaSoA;
-      } else {
-        return bad();
-      }
     } else if (key == "suppress_crash" || key == "suppress_outage") {
       // "<server> <draw ordinal>": one suppressed natural fault window.
       const size_t sep = value.find(' ');

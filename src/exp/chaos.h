@@ -37,13 +37,6 @@ struct ChaosCase {
   RetryOptions retry;
   /// QueueDepthAdmission max_ready cap; 0 = no admission control.
   size_t admission_max_ready = 0;
-
-  /// Structure knobs under test (the huge-scale campaign flips them).
-  /// Both are byte-identity-neutral by contract, so a replay digests the
-  /// same either way; they are serialized only when non-default, keeping
-  /// historical replay files untouched.
-  PendingQueueImpl pending_queue = PendingQueueImpl::kBinaryHeap;
-  TxnStoreLayout txn_store = TxnStoreLayout::kSpecVector;
 };
 
 /// Runs the case to completion with outcome and schedule recording on.

@@ -87,9 +87,6 @@ rt::TwinOptions TwinOptionsFor(const TwinChaosCase& c) {
   options.forecast_seed = c.forecast_seed;
   options.snapshot_corruption = c.snapshot_corruption;
   options.forecast_threads = c.forecast_threads;
-  options.pooled_forecasts = c.pooled_forecasts;
-  options.pending_queue = c.pending_queue;
-  options.txn_store = c.txn_store;
   options.prune = c.prune;
   options.prune_prefix = c.prune_prefix;
   options.faults.plan = c.fault;
@@ -245,13 +242,6 @@ std::string SerializeTwinChaosCase(const TwinChaosCase& c) {
   os << "forecast_seed " << c.forecast_seed << "\n";
   os << "snapshot_corruption " << FormatDouble(c.snapshot_corruption) << "\n";
   os << "forecast_threads " << c.forecast_threads << "\n";
-  os << "pooled_forecasts " << (c.pooled_forecasts ? 1 : 0) << "\n";
-  os << "pending_queue "
-     << (c.pending_queue == PendingQueueImpl::kCalendarQueue ? "calendar"
-                                                             : "heap")
-     << "\n";
-  os << "txn_store "
-     << (c.txn_store == TxnStoreLayout::kArenaSoA ? "soa" : "vector") << "\n";
   os << "prune " << (c.prune ? 1 : 0) << "\n";
   os << "prune_prefix " << FormatDouble(c.prune_prefix) << "\n";
   os << "num_workers " << c.num_workers << "\n";
@@ -404,25 +394,6 @@ Result<TwinChaosCase> ParseTwinChaosReplay(const std::string& text) {
     } else if (key == "forecast_threads") {
       if (!ParseU64(value, &u)) return bad();
       c.forecast_threads = u;
-    } else if (key == "pooled_forecasts") {
-      if (!ParseU64(value, &u) || u > 1) return bad();
-      c.pooled_forecasts = u == 1;
-    } else if (key == "pending_queue") {
-      if (value == "heap") {
-        c.pending_queue = PendingQueueImpl::kBinaryHeap;
-      } else if (value == "calendar") {
-        c.pending_queue = PendingQueueImpl::kCalendarQueue;
-      } else {
-        return bad();
-      }
-    } else if (key == "txn_store") {
-      if (value == "vector") {
-        c.txn_store = TxnStoreLayout::kSpecVector;
-      } else if (value == "soa") {
-        c.txn_store = TxnStoreLayout::kArenaSoA;
-      } else {
-        return bad();
-      }
     } else if (key == "prune") {
       if (!ParseU64(value, &u) || u > 1) return bad();
       c.prune = u == 1;
@@ -684,11 +655,6 @@ TwinChaosCase RandomTwinChaosCase(uint64_t master_seed, uint64_t index) {
   // neutrality sweep enforce it.
   const double threads_draw = rng.NextDouble();
   c.forecast_threads = threads_draw < 0.5 ? 1 : (threads_draw < 0.8 ? 2 : 8);
-  c.pooled_forecasts = rng.NextDouble() < 0.8;
-  c.pending_queue = rng.NextDouble() < 0.5 ? PendingQueueImpl::kBinaryHeap
-                                           : PendingQueueImpl::kCalendarQueue;
-  c.txn_store = rng.NextDouble() < 0.5 ? TxnStoreLayout::kSpecVector
-                                       : TxnStoreLayout::kArenaSoA;
   if (rng.NextDouble() < 0.25) {
     c.prune = true;
     c.prune_prefix = 0.3 + 0.5 * rng.NextDouble();
@@ -722,29 +688,22 @@ Result<TwinChaosCampaignResult> RunTwinChaosCampaign(
       if (!verdict.ok()) verdict_text = verdict.ToString();
     }
     if (verdict_text.empty() && c.controller_enabled) {
-      // Digest-neutrality sweep: the forecast-execution knobs may only
-      // change how fast the controller decides, never what it decides.
-      // Re-run the case across forecast_threads 1/2/8 and with pooling
-      // toggled; every digest must match the baseline.
-      for (int variant_idx = 0; variant_idx < 3; ++variant_idx) {
+      // Digest-neutrality sweep: forecast_threads may only change how
+      // fast the controller decides, never what it decides. Re-run the
+      // case at the other two of 1/2/8 threads; every digest must match
+      // the baseline.
+      const size_t threads[] = {c.forecast_threads == 1 ? 2u : 1u,
+                                c.forecast_threads == 8 ? 2u : 8u};
+      for (const size_t t : threads) {
         TwinChaosCase variant = c;
-        std::string dim;
-        if (variant_idx < 2) {
-          const size_t threads[] = {c.forecast_threads == 1 ? 2u : 1u,
-                                    c.forecast_threads == 8 ? 2u : 8u};
-          variant.forecast_threads = threads[variant_idx];
-          dim = "forecast_threads=" + std::to_string(variant.forecast_threads);
-        } else {
-          variant.pooled_forecasts = !c.pooled_forecasts;
-          dim = variant.pooled_forecasts ? "pooled_forecasts=1"
-                                         : "pooled_forecasts=0";
-        }
+        variant.forecast_threads = t;
         WEBTX_ASSIGN_OR_RETURN(rt::TwinReport swept, RunTwinChaosCase(variant));
         if (swept.digest != first.digest) {
           neutrality_broke = true;
           std::ostringstream os;
-          os << "neutrality: " << dim << " changed the twin digest ("
-             << std::hex << first.digest << " vs " << swept.digest << ")";
+          os << "neutrality: forecast_threads=" << t
+             << " changed the twin digest (" << std::hex << first.digest
+             << " vs " << swept.digest << ")";
           verdict_text = os.str();
           break;
         }
@@ -774,12 +733,6 @@ Result<TwinChaosCampaignResult> RunTwinChaosCampaign(
           if (r.ok() && r.ValueOrDie().digest != a.ValueOrDie().digest) {
             return true;
           }
-        }
-        TwinChaosCase v = x;
-        v.pooled_forecasts = !x.pooled_forecasts;
-        const auto r = RunTwinChaosCase(v);
-        if (r.ok() && r.ValueOrDie().digest != a.ValueOrDie().digest) {
-          return true;
         }
       }
       return !CheckTwinChaosInvariants(x, a.ValueOrDie()).ok();

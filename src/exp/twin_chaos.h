@@ -55,11 +55,8 @@ struct TwinChaosCase {
 
   // -- Forecast execution (decision-loop cost knobs) --
   // Digest-neutral by contract (rt::TwinOptions); the campaign sweeps
-  // them and the determinism audit is the enforcement.
+  // forecast_threads and the determinism audit is the enforcement.
   size_t forecast_threads = 1;
-  bool pooled_forecasts = true;
-  PendingQueueImpl pending_queue = PendingQueueImpl::kBinaryHeap;
-  TxnStoreLayout txn_store = TxnStoreLayout::kSpecVector;
   bool prune = false;
   double prune_prefix = 0.4;
 
@@ -130,9 +127,8 @@ struct TwinChaosCampaignResult {
   /// contract (trace + decision log) broke. Counted in `violations` too.
   size_t determinism_mismatches = 0;
   /// Cases where re-running with a different forecast_threads (1/2/8)
-  /// or with pooling toggled changed the digest — the digest-neutrality
-  /// contract of the forecast-execution knobs broke. Counted in
-  /// `violations` too.
+  /// changed the digest — the digest-neutrality contract of the
+  /// forecast fan-out broke. Counted in `violations` too.
   size_t neutrality_mismatches = 0;
   std::string first_violation;
   TwinChaosCase first_reproducer;

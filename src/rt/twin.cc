@@ -118,34 +118,25 @@ Result<TwinForecastEngine> TwinForecastEngine::Create(
   }
   TwinForecastEngine engine;
   engine.options_ = options;
-  engine.pooled_ = options.pooled_forecasts;
   const size_t threads = options.forecast_threads == 0
                              ? ThreadPool::DefaultConcurrency()
                              : options.forecast_threads;
   // The control thread is one worker, so forecast_threads = N means
   // N-1 pool helpers; 1 stays a plain serial loop with no pool at all.
   if (threads > 1) engine.pool_ = std::make_unique<ThreadPool>(threads - 1);
-  if (engine.pooled_) {
-    engine.full_ = std::make_shared<SimWorkload>();
-    engine.slots_.reserve(options.candidates.size());
-    for (const TwinCandidate& candidate : options.candidates) {
-      Slot slot;
-      WEBTX_ASSIGN_OR_RETURN(slot.policy, CreatePolicy(candidate.policy));
-      SimOptions sim_options;
-      sim_options.admission = AdmissionFor(candidate);
-      sim_options.record_outcomes = false;
-      sim_options.pending_queue = options.pending_queue;
-      WEBTX_ASSIGN_OR_RETURN(
-          Simulator sim,
-          Simulator::CreateShared(engine.full_, std::move(sim_options)));
-      slot.sim = std::make_unique<Simulator>(std::move(sim));
-      engine.slots_.push_back(std::move(slot));
-    }
-  } else {
-    for (const TwinCandidate& candidate : options.candidates) {
-      WEBTX_ASSIGN_OR_RETURN(auto probe, CreatePolicy(candidate.policy));
-      (void)probe;
-    }
+  engine.full_ = std::make_shared<SimWorkload>();
+  engine.slots_.reserve(options.candidates.size());
+  for (const TwinCandidate& candidate : options.candidates) {
+    Slot slot;
+    WEBTX_ASSIGN_OR_RETURN(slot.policy, CreatePolicy(candidate.policy));
+    SimOptions sim_options;
+    sim_options.admission = AdmissionFor(candidate);
+    sim_options.record_outcomes = false;
+    WEBTX_ASSIGN_OR_RETURN(
+        Simulator sim,
+        Simulator::CreateShared(engine.full_, std::move(sim_options)));
+    slot.sim = std::make_unique<Simulator>(std::move(sim));
+    engine.slots_.push_back(std::move(slot));
   }
   return engine;
 }
@@ -222,42 +213,18 @@ void TwinForecastEngine::BuildSpecsInto(const ExecutorSnapshot& snap,
 
 TwinForecast TwinForecastEngine::ForecastOne(size_t index, bool full_horizon,
                                              size_t num_workers_up) {
-  const TwinCandidate& candidate = options_.candidates[index];
   // The pruning pass scores candidates on a simulated-time prefix of
   // the horizon: the SAME workload, cut off at prune_prefix of the
   // horizon, so it pays only the events due before the cutoff.
   const SimTime run_horizon =
       full_horizon ? 0.0 : options_.prune_prefix * options_.forecast_horizon;
-  TwinForecast f;
-  if (pooled_) {
-    Slot& slot = slots_[index];
-    slot.sim->BindWorkload(full_);
-    slot.sim->set_num_servers(std::max<size_t>(1, num_workers_up));
-    slot.sim->set_run_horizon(run_horizon);
-    const RunResult r = slot.sim->Run(*slot.policy);
-    slot_events_[index] += r.num_scheduling_points;
-    f.tardiness = r.avg_tardiness;
-    f.shed_ratio = 1.0 - r.goodput;
-    f.score = f.tardiness + options_.shed_penalty * f.shed_ratio;
-    return f;
-  }
-  // Rebuilt path: fresh policy + simulator (spec copy, graph rebuild,
-  // cold arrays) per candidate per tick — exactly the pre-pooling
-  // decision loop, kept as the differential and benchmark baseline.
-  Result<std::unique_ptr<SchedulerPolicy>> policy =
-      CreatePolicy(candidate.policy);
-  if (!policy.ok()) return f;
-  SimOptions sim_options;
-  sim_options.num_servers = std::max<size_t>(1, num_workers_up);
-  sim_options.admission = AdmissionFor(candidate);
-  sim_options.record_outcomes = false;
-  sim_options.pending_queue = options_.pending_queue;
-  sim_options.txn_store = options_.txn_store;
-  sim_options.run_horizon = run_horizon;
-  Result<Simulator> sim = Simulator::Create(spec_buffer_, std::move(sim_options));
-  if (!sim.ok()) return f;
-  const RunResult r = sim.ValueOrDie().Run(*policy.ValueOrDie());
+  Slot& slot = slots_[index];
+  slot.sim->BindWorkload(full_);
+  slot.sim->set_num_servers(std::max<size_t>(1, num_workers_up));
+  slot.sim->set_run_horizon(run_horizon);
+  const RunResult r = slot.sim->Run(*slot.policy);
   slot_events_[index] += r.num_scheduling_points;
+  TwinForecast f;
   f.tardiness = r.avg_tardiness;
   f.shed_ratio = 1.0 - r.goodput;
   f.score = f.tardiness + options_.shed_penalty * f.shed_ratio;
@@ -281,11 +248,7 @@ const std::vector<TwinForecast>& TwinForecastEngine::Forecast(
   } else {
     const size_t num_up = snap.num_workers_up;
     const bool prune = options_.prune && num_candidates >= 2;
-    bool built = true;
-    if (pooled_) {
-      built = full_->Rebuild(spec_buffer_, options_.txn_store).ok();
-    }
-    if (built) {
+    if (full_->Rebuild(spec_buffer_).ok()) {
       survivor_.assign(num_candidates, 1);
       const auto run_phase = [&](bool full_horizon) {
         const auto job = [&](size_t i) {
@@ -338,10 +301,8 @@ const std::vector<TwinForecast>& TwinForecastEngine::Forecast(
         }
       }
     }
-    // !built: an invalid spec made the shared workload unbuildable.
-    // Leave every candidate at the default infinite score — the same
-    // degraded table the rebuilt path produces when each per-candidate
-    // Simulator::Create rejects those specs.
+    // Otherwise an invalid spec made the shared workload unbuildable:
+    // every candidate keeps the default infinite score.
   }
 
   // Sum per-slot event counts in candidate-index order so the total is

@@ -92,14 +92,6 @@ struct TwinOptions {
   /// in the control thread; 0 = hardware concurrency. Results merge in
   /// candidate-index order, so the digest is thread-count invariant.
   size_t forecast_threads = 1;
-  /// Keep one warm shadow simulator + policy per candidate and share a
-  /// single immutable per-tick workload across them, instead of
-  /// rebuilding specs/graph/simulator per candidate per tick.
-  bool pooled_forecasts = true;
-  /// Pending-event structure for the shadow simulators.
-  PendingQueueImpl pending_queue = PendingQueueImpl::kBinaryHeap;
-  /// Transaction-attribute layout for the shadow simulators.
-  TxnStoreLayout txn_store = TxnStoreLayout::kSpecVector;
   /// Successive-halving candidate pruning: score every candidate on a
   /// simulated-time prefix of the horizon (the same shared workload
   /// under a SimOptions::run_horizon cutoff, so the prefix pass pays
@@ -202,11 +194,10 @@ struct TwinDecisionStats {
 /// snapshot + arrival window through every candidate's shadow simulator
 /// and returns the scored table the controller ranks.
 ///
-/// Cost model (all digest-neutral, see TwinOptions):
-///  - pooled_forecasts: specs are built once per tick into a shared
-///    immutable SimWorkload; each candidate slot keeps a warm simulator
-///    (scratch arenas survive across ticks) and a reusable policy
-///    instead of rebuilding everything per candidate.
+/// Cost model: specs are built once per tick into a shared immutable
+/// SimWorkload, and each candidate slot keeps a warm simulator (scratch
+/// arenas survive across ticks) and a reusable policy. On top of that
+/// (all digest-neutral, see TwinOptions):
 ///  - forecast_threads: candidates fan out over a ThreadPool; slots are
 ///    fully independent, and results land at their candidate index, so
 ///    the merge order — and therefore the decision — is deterministic.
@@ -226,8 +217,8 @@ class TwinForecastEngine {
   /// `incumbent` is the currently applied candidate index (never
   /// pruned). The returned reference is owned by the engine and valid
   /// until the next Forecast() call. Deterministic for fixed inputs
-  /// regardless of forecast_threads / pooled_forecasts / structure
-  /// knobs. Not thread-safe; one Forecast() at a time.
+  /// regardless of forecast_threads. Not thread-safe; one Forecast() at
+  /// a time.
   const std::vector<TwinForecast>& Forecast(const ExecutorSnapshot& snap,
                                             const TwinArrivalWindow& window,
                                             uint64_t tick,
@@ -256,14 +247,13 @@ class TwinForecastEngine {
                            size_t num_workers_up);
 
   TwinOptions options_;
-  bool pooled_ = true;
   std::unique_ptr<ThreadPool> pool_;  // null when forecast_threads == 1
   /// The shared per-tick workload. Mutated only between shadow runs,
   /// via Rebuild; pruning's prefix pass runs the SAME workload under a
   /// simulated-time cutoff (SimOptions::run_horizon), not a separate
   /// spec prefix.
   std::shared_ptr<SimWorkload> full_;
-  std::vector<Slot> slots_;  // empty when !pooled_
+  std::vector<Slot> slots_;
   // Reused per-tick buffers.
   std::vector<TransactionSpec> spec_buffer_;
   std::vector<TxnId> remap_;

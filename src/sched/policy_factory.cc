@@ -24,24 +24,16 @@ std::unique_ptr<SchedulerPolicy> CreatePlain(const std::string& name) {
   if (name == "ASETS") return std::make_unique<AsetsPolicy>();
   if (name == "Ready") return std::make_unique<ReadyPolicy>();
   if (name == "ASETS*") return std::make_unique<AsetsStarPolicy>();
-  // Same decision procedure over the lazy-delete heap; byte-identical
-  // schedules to "ASETS*" (pinned by the huge-structures differential
-  // matrix). Deliberately NOT in KnownPolicyNames(): it is an
-  // implementation variant for huge-scale runs, not a distinct policy.
-  if (name == "ASETS*-lazy") return std::make_unique<AsetsStarLazyPolicy>();
   return nullptr;
 }
 
 /// "<base>-sharded": the sharded-state implementation variant of `base`
 /// (see ShardedPolicyState in sched/scheduler_policy.h). Byte-identical
 /// schedules to the base policy — pinned by the sharded differential
-/// matrix — so, like "ASETS*-lazy", these are NOT distinct policies and
-/// stay out of KnownPolicyNames().
+/// matrix — so these are NOT distinct policies and stay out of
+/// KnownPolicyNames().
 std::unique_ptr<SchedulerPolicy> CreateSharded(const std::string& base) {
   if (base == "ASETS*") return std::make_unique<AsetsStarShardedPolicy>();
-  if (base == "ASETS*-lazy") {
-    return std::make_unique<AsetsStarShardedLazyPolicy>();
-  }
   auto inner = CreatePlain(base);
   if (auto* sq = dynamic_cast<SingleQueuePolicy*>(inner.get())) {
     sq->EnableSharded();

@@ -24,11 +24,10 @@ namespace webtx {
 ///                                 (per-shard queues + deterministic
 ///                                 work stealing; byte-identical
 ///                                 schedules — supported for the
-///                                 single-queue policies, "ASETS*" and
-///                                 "ASETS*-lazy")
+///                                 single-queue policies and "ASETS*")
 ///
 /// Examples: "ASETS*-BA(time=0.005)", "ASETS-BA(count=0.05)",
-/// "SRPT-sharded", "ASETS*-lazy-sharded".
+/// "SRPT-sharded", "ASETS*-sharded".
 Result<std::unique_ptr<SchedulerPolicy>> CreatePolicy(const std::string& spec);
 
 /// Names of the plain (non-wrapped) policies the factory knows about.

@@ -6,16 +6,14 @@
 
 namespace webtx {
 
-Result<SimWorkload> SimWorkload::Build(std::vector<TransactionSpec> txns,
-                                       TxnStoreLayout layout) {
+Result<SimWorkload> SimWorkload::Build(std::vector<TransactionSpec> txns) {
   SimWorkload workload;
-  Status status = workload.Rebuild(txns, layout);
+  Status status = workload.Rebuild(txns);
   if (!status.ok()) return status;
   return workload;
 }
 
-Status SimWorkload::Rebuild(std::vector<TransactionSpec>& txns,
-                            TxnStoreLayout layout) {
+Status SimWorkload::Rebuild(std::vector<TransactionSpec>& txns) {
   specs_.swap(txns);
   const size_t n = specs_.size();
   for (size_t i = 0; i < n; ++i) {
@@ -40,11 +38,6 @@ Status SimWorkload::Rebuild(std::vector<TransactionSpec>& txns,
   Status graph_status = graph_.Rebuild(specs_);
   if (!graph_status.ok()) return graph_status;
   registry_.Rebuild(graph_);
-  if (layout == TxnStoreLayout::kArenaSoA) {
-    store_.Build(specs_, graph_);
-  } else {
-    store_.Clear();
-  }
   arrival_order_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     arrival_order_[i] = static_cast<TxnId>(i);

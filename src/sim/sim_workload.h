@@ -2,33 +2,19 @@
 #define WEBTX_SIM_SIM_WORKLOAD_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
-#include "sim/txn_store.h"
 #include "txn/dependency_graph.h"
 #include "txn/transaction.h"
 #include "txn/workflow.h"
 
 namespace webtx {
 
-/// Memory layout for the per-transaction static data the event loop
-/// reads (arrival/length/estimate/deadline/weight, dependency edges).
-/// Accessors return identical values either way, so the knob can never
-/// change results (same differential pins as PendingQueueImpl).
-enum class TxnStoreLayout : uint8_t {
-  /// Read the TransactionSpec vector directly (the historical layout).
-  kSpecVector = 0,
-  /// Arena-backed structure-of-arrays mirror (sim/txn_store.h): dense
-  /// field arrays + CSR successor edges, built once at Create.
-  kArenaSoA = 1,
-};
-
 /// The validated, immutable-per-run workload state a Simulator executes
 /// against: the specs plus every structure derived from them (dependency
-/// graph, workflow decomposition, optional SoA mirror, arrival order).
+/// graph, workflow decomposition, arrival order).
 ///
 /// Factored out of the Simulator so several simulators can SHARE one
 /// workload without copying it (Simulator::CreateShared) — the digital
@@ -47,9 +33,7 @@ class SimWorkload {
 
   /// Validates the specs (dense ids, acyclic dependencies, positive
   /// lengths, non-negative arrivals) and builds the derived structures.
-  static Result<SimWorkload> Build(
-      std::vector<TransactionSpec> txns,
-      TxnStoreLayout layout = TxnStoreLayout::kSpecVector);
+  static Result<SimWorkload> Build(std::vector<TransactionSpec> txns);
 
   /// Rebuilds this workload in place from a new spec set, reusing all
   /// derived-structure storage. `txns` is swapped into place: on return
@@ -58,15 +42,12 @@ class SimWorkload {
   /// through Rebuild every tick allocates nothing in steady state. On
   /// error the workload is left in an unspecified state and must be
   /// rebuilt before use.
-  Status Rebuild(std::vector<TransactionSpec>& txns, TxnStoreLayout layout);
+  Status Rebuild(std::vector<TransactionSpec>& txns);
 
   size_t size() const { return specs_.size(); }
   const std::vector<TransactionSpec>& specs() const { return specs_; }
   const DependencyGraph& graph() const { return graph_; }
   const WorkflowRegistry& workflows() const { return registry_; }
-  /// SoA mirror of specs + graph; inert (enabled() false) unless built
-  /// with TxnStoreLayout::kArenaSoA.
-  const TxnStore& store() const { return store_; }
   /// Transaction ids sorted by (arrival, id).
   const std::vector<TxnId>& arrival_order() const { return arrival_order_; }
 
@@ -74,7 +55,6 @@ class SimWorkload {
   std::vector<TransactionSpec> specs_;
   DependencyGraph graph_;
   WorkflowRegistry registry_;
-  TxnStore store_;
   std::vector<TxnId> arrival_order_;
 };
 

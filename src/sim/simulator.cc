@@ -7,8 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "common/calendar_queue.h"
-
 namespace webtx {
 
 namespace {
@@ -38,71 +36,6 @@ class PendingQueue {
 
  private:
   std::vector<internal::PendingEvent> heap_;
-};
-
-// CalendarQueue ordering traits for pending events: Before is the
-// strict (time, kind, id) ascending order — the exact complement view
-// of the PendingAfter max-heap comparator, so both structures pop the
-// same sequence (pinned by tests/sim/shard_event_order_test.cc and the
-// huge-structures differential matrix).
-struct PendingTraits {
-  static double TimeOf(const internal::PendingEvent& e) { return e.time; }
-  static bool Before(const internal::PendingEvent& a,
-                     const internal::PendingEvent& b) {
-    return internal::PendingAfter{}(b, a);
-  }
-};
-
-// The pending queue behind SimOptions::pending_queue: the historical
-// binary heap or the calendar queue, one interface. The branch is a
-// predictable single bool — noise next to the heap/bucket work behind
-// it.
-class PendingEvents {
- public:
-  PendingEvents() = default;
-  explicit PendingEvents(PendingQueueImpl impl)
-      : calendar_(impl == PendingQueueImpl::kCalendarQueue) {}
-
-  /// Re-targets the wrapper at `impl` and empties both structures
-  /// (allocated storage retained) — the per-run warm reset. A run can
-  /// end with stale entries for transactions that resolved another way,
-  /// so clearing here is what makes cross-run reuse safe.
-  void Configure(PendingQueueImpl impl) {
-    calendar_ = impl == PendingQueueImpl::kCalendarQueue;
-    heap_.clear();
-    wheel_.clear();
-  }
-
-  void Reserve(size_t n) {
-    if (calendar_) {
-      wheel_.Reserve(n);
-    } else {
-      heap_.Reserve(n);
-    }
-  }
-  bool empty() const { return calendar_ ? wheel_.empty() : heap_.empty(); }
-  internal::PendingEvent top() {
-    return calendar_ ? wheel_.top() : heap_.top();
-  }
-  void push(const internal::PendingEvent& e) {
-    if (calendar_) {
-      wheel_.push(e);
-    } else {
-      heap_.push(e);
-    }
-  }
-  void pop() {
-    if (calendar_) {
-      wheel_.pop();
-    } else {
-      heap_.pop();
-    }
-  }
-
- private:
-  bool calendar_ = false;
-  PendingQueue heap_;
-  CalendarQueue<internal::PendingEvent, PendingTraits> wheel_;
 };
 
 // One shard's view of its fault processes: either the lazy FaultStream
@@ -174,7 +107,7 @@ struct Simulator::RunScratch {
   std::vector<SimTime> dispatch_time;
   std::vector<SimTime> segment_start;
   std::vector<ScheduleSegment> schedule;
-  PendingEvents pending;
+  PendingQueue pending;
   std::vector<TxnId> picks;
   std::vector<TxnId> next_running;
   std::vector<char> pick_taken;
@@ -189,9 +122,8 @@ struct Simulator::RunScratch {
 
 Result<Simulator> Simulator::Create(std::vector<TransactionSpec> txns,
                                     SimOptions options) {
-  WEBTX_ASSIGN_OR_RETURN(
-      SimWorkload workload,
-      SimWorkload::Build(std::move(txns), options.txn_store));
+  WEBTX_ASSIGN_OR_RETURN(SimWorkload workload,
+                         SimWorkload::Build(std::move(txns)));
   return CreateShared(
       std::make_shared<const SimWorkload>(std::move(workload)),
       std::move(options));
@@ -240,7 +172,6 @@ void Simulator::BindWorkload(std::shared_ptr<const SimWorkload> workload) {
 
 void Simulator::ResetRuntimeState() {
   const std::vector<TransactionSpec>& specs = workload_->specs();
-  const TxnStore& store = workload_->store();
   const size_t n = specs.size();
   // The bound workload may have changed size since the last run
   // (BindWorkload): the indexed loops below need current extents. For a
@@ -254,20 +185,10 @@ void Simulator::ResetRuntimeState() {
   suspended_.assign(n, 0);
   ready_list_.clear();
   ready_pos_.assign(n, kNoReadyPos);
-  if (store.enabled()) {
-    // Dense-array pass: 3 contiguous reads per transaction instead of a
-    // full AoS cache line — the values are bit-identical copies.
-    for (size_t i = 0; i < n; ++i) {
-      true_remaining_[i] = store.length(i);
-      estimated_remaining_[i] = store.estimate_or_length(i);
-      unmet_deps_[i] = store.num_deps(i);
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      true_remaining_[i] = specs[i].length;
-      estimated_remaining_[i] = specs[i].EstimateOrLength();
-      unmet_deps_[i] = static_cast<uint32_t>(specs[i].dependencies.size());
-    }
+  for (size_t i = 0; i < n; ++i) {
+    true_remaining_[i] = specs[i].length;
+    estimated_remaining_[i] = specs[i].EstimateOrLength();
+    unmet_deps_[i] = static_cast<uint32_t>(specs[i].dependencies.size());
   }
 }
 
@@ -446,38 +367,13 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   std::vector<ScheduleSegment>& schedule = sc.schedule;
   schedule.clear();
   if (options_.record_schedule) schedule.reserve(2 * n);
-  PendingEvents& pending = sc.pending;
-  pending.Configure(options_.pending_queue);
+  PendingQueue& pending = sc.pending;
+  // A run can end with stale entries for transactions that resolved
+  // another way, so clearing here is what makes cross-run reuse safe.
+  pending.clear();
   // At most one pending entry per unresolved transaction exists at any
   // instant, and only abort retries or admission deferrals create them.
   if (faults || admission) pending.Reserve(n);
-  // Static per-transaction reads, routed through the SoA store when
-  // enabled. The store mirrors the spec values bit-for-bit, so the two
-  // branches are indistinguishable in results.
-  const TxnStore* const store =
-      workload_->store().enabled() ? &workload_->store() : nullptr;
-  const auto spec_arrival = [&](TxnId id) {
-    return store ? store->arrival(id) : specs[id].arrival;
-  };
-  const auto spec_deadline = [&](TxnId id) {
-    return store ? store->deadline(id) : specs[id].deadline;
-  };
-  const auto spec_weight = [&](TxnId id) {
-    return store ? store->weight(id) : specs[id].weight;
-  };
-  const auto spec_length = [&](TxnId id) {
-    return store ? store->length(id) : specs[id].length;
-  };
-  const auto spec_estimate = [&](TxnId id) {
-    return store ? store->estimate_or_length(id)
-                 : specs[id].EstimateOrLength();
-  };
-  const auto successors_of =
-      [&](TxnId id) -> std::pair<const TxnId*, const TxnId*> {
-    if (store) return store->successors(id);
-    const std::vector<TxnId>& succ = graph.successors(id);
-    return {succ.data(), succ.data() + succ.size()};
-  };
   // Scratch buffers for the per-event scheduling round, hoisted out of
   // the loop so the steady-state iteration performs no allocation.
   std::vector<TxnId>& picks = sc.picks;
@@ -589,10 +485,9 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
       o.finish = t;
       o.missed_deadline = true;  // never finishing misses the deadline
       if (arrived_[cur]) policy.OnDropped(cur, t);
-      const auto [succ_it, succ_end] = successors_of(cur);
-      for (const TxnId* it = succ_it; it != succ_end; ++it) {
-        if (!finished_[*it]) {
-          stack.emplace_back(*it, TxnFate::kDroppedDependency);
+      for (const TxnId succ : graph.successors(cur)) {
+        if (!finished_[succ]) {
+          stack.emplace_back(succ, TxnFate::kDroppedDependency);
         }
       }
     }
@@ -638,8 +533,8 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
       suspended_[victim] = 1;
       ReadyListRemove(victim);
       policy.OnCompletion(victim, t);  // dequeue signal
-      true_remaining_[victim] = spec_length(victim);
-      estimated_remaining_[victim] = spec_estimate(victim);
+      true_remaining_[victim] = specs[victim].length;
+      estimated_remaining_[victim] = specs[victim].EstimateOrLength();
       suspended_[victim] = 0;
       MakeReady(victim, t, policy);
     }
@@ -648,7 +543,7 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
 
   while (resolved_count < n) {
     const SimTime t_arrival =
-        next_arrival < n ? spec_arrival(arrival_order[next_arrival]) : kNever;
+        next_arrival < n ? specs[arrival_order[next_arrival]].arrival : kNever;
     const SimTime t_pending = pending.empty() ? kNever : pending.top().time;
 
     // Head scan: the next step is the EventBefore-least head over all
@@ -723,15 +618,13 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
         TxnOutcome& o = outcomes[done];
         o.fate = TxnFate::kCompleted;
         o.finish = now;
-        o.tardiness = TardinessOf(now, spec_deadline(done));
-        o.weighted_tardiness = o.tardiness * spec_weight(done);
-        o.response = now - spec_arrival(done);
+        o.tardiness = TardinessOf(now, specs[done].deadline);
+        o.weighted_tardiness = o.tardiness * specs[done].weight;
+        o.response = now - specs[done].arrival;
         o.missed_deadline = o.tardiness > 0.0;
 
         policy.OnCompletion(done, now);
-        const auto [succ_it, succ_end] = successors_of(done);
-        for (const TxnId* it = succ_it; it != succ_end; ++it) {
-          const TxnId succ = *it;
+        for (const TxnId succ : graph.successors(done)) {
           WEBTX_DCHECK(unmet_deps_[succ] > 0);
           if (--unmet_deps_[succ] == 0 && arrived_[succ] &&
               !finished_[succ]) {
@@ -845,8 +738,8 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
         ReadyListRemove(victim);
         policy.OnCompletion(victim, now);  // dequeue signal
         // All executed work is lost.
-        true_remaining_[victim] = spec_length(victim);
-        estimated_remaining_[victim] = spec_estimate(victim);
+        true_remaining_[victim] = specs[victim].length;
+        estimated_remaining_[victim] = specs[victim].EstimateOrLength();
         if (o.aborts >= options_.retry.max_attempts) {
           resolve(victim, TxnFate::kDroppedRetries, now);  // clears suspended_
           break;
@@ -888,7 +781,7 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
       }
       case internal::ShardEventClass::kArrival: {
         while (next_arrival < n &&
-               spec_arrival(arrival_order[next_arrival]) == now) {
+               specs[arrival_order[next_arrival]].arrival == now) {
           const TxnId id = arrival_order[next_arrival++];
           if (finished_[id]) continue;  // dropped before it arrived
           admit_arrival(id, now);

@@ -15,7 +15,6 @@
 #include "sim/fault_timeline.h"
 #include "sim/metrics.h"
 #include "sim/sim_workload.h"
-#include "sim/txn_store.h"
 #include "txn/dependency_graph.h"
 #include "txn/transaction.h"
 #include "txn/workflow.h"
@@ -110,23 +109,6 @@ constexpr bool MessageBefore(const ShardMessage& a, const ShardMessage& b) {
 
 }  // namespace internal
 
-/// Backing structure for the simulator's pending-event queue (retry
-/// releases and deferred arrivals). Both pop in exactly the
-/// internal::PendingAfter (time, kind, id) order, so the knob can never
-/// change results — only how fast a huge backlog drains. Pinned by
-/// tests/sim/huge_structures_differential_test.cc and the calendar-queue
-/// property tests.
-enum class PendingQueueImpl : uint8_t {
-  /// Binary heap over a reserved vector (the historical structure).
-  kBinaryHeap = 0,
-  /// Calendar/ladder queue (common/calendar_queue.h): amortized O(1)
-  /// push/pop, cache-friendly at 10^5+ pending events.
-  kCalendarQueue = 1,
-};
-
-// TxnStoreLayout lives in sim/sim_workload.h (the workload owns the
-// mirror); re-exported here for the SimOptions knob below.
-
 /// Simulator knobs. The defaults model the paper's testbed: a single
 /// back-end database server, preemption at scheduling points (transaction
 /// arrival and completion, Sec. III-A2), zero dispatch overhead, no
@@ -141,10 +123,10 @@ struct SimOptions {
   /// Gantt rendering and independent schedule validation.
   bool record_schedule = false;
   /// Number of parallel servers (back-end database workers). The paper
-  /// evaluates a single server; k > 1 is an extension — the policy is
-  /// consulted greedily via PickNextExcluding for each free server, so
-  /// only policies overriding that hook support k > 1 (all shipped
-  /// policies do).
+  /// evaluates a single server; k > 1 is an extension — the policy
+  /// fills every free server in one PickBatch call per scheduling round
+  /// (sched/scheduler_policy.h), so only policies that support
+  /// multi-server picks support k > 1 (all shipped policies do).
   size_t num_servers = 1;
   /// Deterministic fault injection (server outages, transaction aborts).
   /// The default plan is disabled; see the failure-semantics contract on
@@ -176,12 +158,6 @@ struct SimOptions {
   /// null in parallel sweeps — RunInstances nulls it in its per-worker
   /// option copies.
   ShardTiming* timing = nullptr;
-  /// Pending-event queue structure; results are byte-identical across
-  /// values (huge-scale perf knob, see scripts/check.sh --huge-smoke).
-  PendingQueueImpl pending_queue = PendingQueueImpl::kBinaryHeap;
-  /// Per-transaction static data layout; results are byte-identical
-  /// across values (huge-scale perf knob).
-  TxnStoreLayout txn_store = TxnStoreLayout::kSpecVector;
   /// Simulated-time cutoff (0 = run to completion, the default). When
   /// > 0, Run stops before processing the first event past this instant
   /// and aggregates via RunResult::FromPrefixOutcomes: transactions
@@ -289,8 +265,7 @@ class Simulator final : public SimView {
  public:
   /// Validates the workload (dense ids, acyclic dependencies, positive
   /// lengths, non-negative arrivals) and builds the precedence structures.
-  /// Convenience over CreateShared: builds a private SimWorkload with the
-  /// layout `options.txn_store` requests.
+  /// Convenience over CreateShared: builds a private SimWorkload.
   static Result<Simulator> Create(std::vector<TransactionSpec> txns,
                                   SimOptions options = {});
 
@@ -298,8 +273,7 @@ class Simulator final : public SimView {
   /// workload, without copying any of it. Several simulators may share
   /// one workload — concurrent Runs only read it — which is how the
   /// digital twin fans candidate forecasts out over one per-tick spec
-  /// build. The workload's own store layout governs; options.txn_store
-  /// is ignored on this path.
+  /// build.
   static Result<Simulator> CreateShared(
       std::shared_ptr<const SimWorkload> workload, SimOptions options = {});
 

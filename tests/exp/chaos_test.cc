@@ -81,6 +81,11 @@ TEST(ChaosReplayTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseChaosReplay(good + "suppress_crash banana\n").ok());
   EXPECT_FALSE(ParseChaosReplay(good + "suppress_crash 1\n").ok());
   EXPECT_FALSE(ParseChaosReplay(good + "suppress_outage 1 pear\n").ok());
+  // Keys of removed structure knobs are rejected like any unknown key.
+  EXPECT_FALSE(ParseChaosReplay(good + "pending_queue wheel\n").ok());
+  EXPECT_FALSE(ParseChaosReplay(good + "pending_queue heap\n").ok());
+  EXPECT_FALSE(ParseChaosReplay(good + "txn_store soa\n").ok());
+  EXPECT_FALSE(ParseChaosReplay(good + "txn_store vec\n").ok());
 }
 
 TEST(ChaosReplayTest, SuppressionLinesRoundTrip) {

@@ -127,6 +127,12 @@ TEST(TwinChaosTest, ParserRejectsCorruptReplays) {
   const std::string text = SerializeTwinChaosCase(SmallCase());
   EXPECT_FALSE(ParseTwinChaosReplay("bogus header\n" + text).ok());
   EXPECT_FALSE(ParseTwinChaosReplay(text + "unknown_knob 3\n").ok());
+  // Keys of removed forecast knobs are rejected like any unknown key.
+  for (const char* retired :
+       {"pooled_forecasts 1\n", "pooled_forecasts 0\n", "pending_queue heap\n",
+        "pending_queue calendar\n", "txn_store vector\n", "txn_store soa\n"}) {
+    EXPECT_FALSE(ParseTwinChaosReplay(text + retired).ok()) << retired;
+  }
   // A twin replay without its candidate table is not a runnable case.
   std::string no_candidates;
   std::istringstream lines(text);

@@ -86,8 +86,7 @@ TEST(TwinReplayIntegrationTest, ReserializingTheFileIsLossless) {
 
 // ---------------------------------------------------------------------
 // The committed parallel-forecast replay: a flash-crowd case whose
-// controller fans candidate forecasts out over 8 threads with pooled
-// shadow sims on the calendar-queue + arena-SoA structures. Its digest
+// controller fans candidate forecasts out over 8 threads. Its digest
 // is pinned AND must be reproduced at every forecast_threads setting —
 // the fan-out may only change decision-loop cost, never the decisions.
 
@@ -111,9 +110,6 @@ TEST(TwinReplayIntegrationTest, ParallelForecastReplayPinsItsDigest) {
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   const TwinChaosCase base = std::move(parsed).ValueOrDie();
   EXPECT_EQ(base.forecast_threads, 8u);
-  EXPECT_TRUE(base.pooled_forecasts);
-  EXPECT_EQ(base.pending_queue, PendingQueueImpl::kCalendarQueue);
-  EXPECT_EQ(base.txn_store, TxnStoreLayout::kArenaSoA);
   // Lossless round trip, same contract as the guard replay.
   EXPECT_EQ(SerializeTwinChaosCase(base), text.str());
 

@@ -80,20 +80,30 @@ TEST(VirtualClockTest, SoleParticipantSleepJumpsToItsDue) {
 
 TEST(VirtualClockTest, SleepersWakeInTimestampOrder) {
   VirtualClock clock;
+  // Main holds the timeline until both sleepers have registered: were
+  // `late` to register and block while `early` had not yet started,
+  // the clock would jump straight to 2.0 and `early` would wake there.
+  clock.RegisterParticipant();
+  std::atomic<int> registered{0};
   std::atomic<double> early_wake{-1.0};
   std::atomic<double> late_wake{-1.0};
   std::thread early([&] {
     clock.RegisterParticipant();
+    registered.fetch_add(1);
     clock.SleepUntil(1.0, nullptr);
     early_wake.store(clock.Now());
     clock.DeregisterParticipant();
   });
   std::thread late([&] {
     clock.RegisterParticipant();
+    registered.fetch_add(1);
     clock.SleepUntil(2.0, nullptr);
     late_wake.store(clock.Now());
     clock.DeregisterParticipant();
   });
+  while (registered.load() < 2) std::this_thread::yield();
+  EXPECT_EQ(clock.Now(), 0.0);
+  clock.DeregisterParticipant();  // both registered: let time advance
   early.join();
   late.join();
   EXPECT_EQ(early_wake.load(), 1.0);

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "workload/live_arrivals.h"
 
 namespace webtx {
@@ -150,8 +151,8 @@ TEST(TwinTest, DecisionLogAgreesWithTheCounters) {
 
 // ---------------------------------------------------------------------
 // TwinForecastEngine: the decision-loop cost knobs (parallel fan-out,
-// pooled warm-start shadow sims, structure selection, pruning) must be
-// digest-neutral — same decisions, same trace, byte-identical report.
+// pruning) must be digest-neutral — same decisions, same trace,
+// byte-identical report.
 
 std::vector<LiveArrival> FlashCrowdArrivals() {
   LiveArrivalOptions load;
@@ -208,6 +209,8 @@ TEST(TwinForecastEngineTest, ParallelForecastsAreByteIdentical) {
     const rt::TwinReport& report = run.ValueOrDie();
     ASSERT_FALSE(report.decisions.empty());
     EXPECT_GT(report.decision_stats.forecasts_run, 0u);
+    EXPECT_GT(report.switches + report.fallbacks, 0u)
+        << "flash crowd should exercise the controller";
     if (threads == 1) {
       serial_digest = report.digest;
     } else {
@@ -216,38 +219,76 @@ TEST(TwinForecastEngineTest, ParallelForecastsAreByteIdentical) {
   }
 }
 
-TEST(TwinForecastEngineTest, PooledMatchesRebuiltByteForByte) {
-  const std::vector<LiveArrival> arrivals = FlashCrowdArrivals();
-  rt::TwinOptions options = FourCandidateOptions();
-  options.pooled_forecasts = false;
-  auto rebuilt = rt::Twin(options).Run(arrivals);
-  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
-  options.pooled_forecasts = true;
-  auto pooled = rt::Twin(options).Run(arrivals);
-  ASSERT_TRUE(pooled.ok()) << pooled.status();
-  EXPECT_EQ(pooled.ValueOrDie().digest, rebuilt.ValueOrDie().digest);
-  EXPECT_GT(pooled.ValueOrDie().switches + pooled.ValueOrDie().fallbacks, 0u)
-      << "flash crowd should exercise the controller";
+/// A synthetic executor snapshot for direct engine calls: `num_tasks`
+/// unfinished tasks in mixed states, some releasing later, some waiting
+/// on an earlier task.
+rt::ExecutorSnapshot SyntheticSnapshot(Rng& rng, double now, size_t num_tasks,
+                                       size_t num_workers_up) {
+  rt::ExecutorSnapshot snap;
+  snap.now = now;
+  snap.num_workers = 2;
+  snap.num_workers_up = num_workers_up;
+  for (size_t i = 0; i < num_tasks; ++i) {
+    rt::SnapshotTask task;
+    task.id = static_cast<TxnId>(3 * i + 1);  // sparse ids: dependency remap
+    task.remaining = 0.01 + 0.1 * rng.NextDouble();
+    task.release = now + (rng.NextDouble() < 0.2 ? 0.3 * rng.NextDouble() : 0);
+    task.deadline = now + 0.5 * rng.NextDouble() - 0.1;
+    task.weight = 1.0 + static_cast<double>(i % 3);
+    if (i > 0 && rng.NextDouble() < 0.25) {
+      task.state = rt::SnapshotTaskState::kWaitingDeps;
+      task.unfinished_dependencies.push_back(static_cast<TxnId>(3 * i - 2));
+    }
+    snap.tasks.push_back(std::move(task));
+  }
+  return snap;
 }
 
-TEST(TwinForecastEngineTest, StructureKnobsAreByteIdentical) {
-  // Regression for wiring SimOptions::pending_queue / txn_store through
-  // TwinOptions: the calendar-queue + arena-SoA twin must reproduce the
-  // heap + spec-vector twin exactly on the committed flash-crowd
-  // scenario, pooled or not.
-  const std::vector<LiveArrival> arrivals = FlashCrowdArrivals();
-  rt::TwinOptions options = FourCandidateOptions();
-  auto baseline = rt::Twin(options).Run(arrivals);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-  for (const bool pooled : {true, false}) {
-    rt::TwinOptions alt = options;
-    alt.pooled_forecasts = pooled;
-    alt.pending_queue = PendingQueueImpl::kCalendarQueue;
-    alt.txn_store = TxnStoreLayout::kArenaSoA;
-    auto run = rt::Twin(alt).Run(arrivals);
-    ASSERT_TRUE(run.ok()) << run.status();
-    EXPECT_EQ(run.ValueOrDie().digest, baseline.ValueOrDie().digest)
-        << "pooled=" << pooled;
+TEST(TwinForecastEngineTest, PooledMatchesRebuiltByteForByte) {
+  // The engine keeps one warm simulator + policy per candidate across
+  // ticks. A fresh engine per tick rebuilds everything cold, so tick by
+  // tick the two must produce the same forecast table — on shrinking
+  // and growing snapshots, with and without pruning.
+  const size_t sizes[] = {40, 3, 0, 75, 12, 75, 1, 30};
+  for (const bool prune : {false, true}) {
+    rt::TwinOptions options = FourCandidateOptions();
+    options.prune = prune;
+    auto pooled = rt::TwinForecastEngine::Create(options);
+    ASSERT_TRUE(pooled.ok()) << pooled.status();
+    Rng rng(2009);
+    uint64_t tick = 0;
+    for (const size_t num_tasks : sizes) {
+      const rt::ExecutorSnapshot snap = SyntheticSnapshot(
+          rng, 0.2 * static_cast<double>(tick), num_tasks, 1 + tick % 2);
+      rt::TwinArrivalWindow window;
+      for (size_t a = 0; a < (tick * 7) % 11; ++a) {
+        LiveArrival arrival;
+        arrival.duration = 0.02 + 0.05 * rng.NextDouble();
+        arrival.relative_deadline = 0.3 * rng.NextDouble();
+        arrival.weight = 1.0;
+        window.Observe(arrival);
+      }
+      const uint32_t incumbent = static_cast<uint32_t>(tick % 4);
+      auto rebuilt = rt::TwinForecastEngine::Create(options);
+      ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+      const std::vector<rt::TwinForecast> cold =
+          rebuilt.ValueOrDie().Forecast(snap, window, tick, incumbent);
+      const std::vector<rt::TwinForecast>& warm =
+          pooled.ValueOrDie().Forecast(snap, window, tick, incumbent);
+      ASSERT_EQ(warm.size(), cold.size());
+      for (size_t i = 0; i < warm.size(); ++i) {
+        EXPECT_EQ(warm[i].tardiness, cold[i].tardiness)
+            << "prune=" << prune << " tick=" << tick << " candidate=" << i;
+        EXPECT_EQ(warm[i].shed_ratio, cold[i].shed_ratio)
+            << "prune=" << prune << " tick=" << tick << " candidate=" << i;
+        EXPECT_EQ(warm[i].score, cold[i].score)
+            << "prune=" << prune << " tick=" << tick << " candidate=" << i;
+        EXPECT_EQ(warm[i].pruned, cold[i].pruned)
+            << "prune=" << prune << " tick=" << tick << " candidate=" << i;
+      }
+      ++tick;
+    }
+    EXPECT_GT(pooled.ValueOrDie().stats().forecasts_run, 0u);
   }
 }
 

@@ -21,8 +21,8 @@ using testing::FakeView;
 using testing::Txn;
 
 TEST(ShardedPolicyStateTest, FactoryCreatesShardedVariants) {
-  for (const char* base : {"FCFS", "EDF", "SRPT", "LS", "HDF", "HVF",
-                           "ASETS*", "ASETS*-lazy"}) {
+  for (const char* base :
+       {"FCFS", "EDF", "SRPT", "LS", "HDF", "HVF", "ASETS*"}) {
     const std::string spec = std::string(base) + "-sharded";
     auto policy = CreatePolicy(spec);
     ASSERT_TRUE(policy.ok()) << spec << ": " << policy.status();
@@ -41,10 +41,11 @@ TEST(ShardedPolicyStateTest, PlainPoliciesHaveNoShardedState) {
 
 TEST(ShardedPolicyStateTest, UnsupportedBasesAreNotFound) {
   // Ready extends AsetsPolicy, ASETS keeps global batch state, MIX wraps
-  // two queues — none has a sharded-state variant.
+  // two queues — none has a sharded-state variant. A retired spec name
+  // is unknown, plain or sharded.
   for (const char* spec :
        {"Ready-sharded", "ASETS-sharded", "MIX-sharded", "MIX(0.25)-sharded",
-        "Nope-sharded"}) {
+        "Nope-sharded", "ASETS*-lazy", "ASETS*-lazy-sharded"}) {
     auto policy = CreatePolicy(spec);
     ASSERT_FALSE(policy.ok()) << spec;
     EXPECT_EQ(policy.status().code(), StatusCode::kNotFound) << spec;

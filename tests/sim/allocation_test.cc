@@ -23,7 +23,6 @@
 #include "common/rng.h"
 #include "rt/twin.h"
 #include "sched/indexed_priority_queue.h"
-#include "sched/lazy_delete_heap.h"
 #include "sched/policies/asets_star.h"
 #include "sim/fault_plan.h"
 #include "sim/simulator.h"
@@ -224,7 +223,7 @@ TEST(AllocationTest, PreReservedIndexedQueueStormAllocatesNothing) {
 // The twin's forecast hot path: once the engine is warm (buffers,
 // shared workload arenas, per-candidate simulator scratch all at
 // capacity), a steady-state control tick performs ZERO allocations in
-// the serial pooled configuration. Admission-free candidates only: the
+// the serial configuration. Admission-free candidates only: the
 // admission factories construct a fresh controller per shadow run by
 // design, and the parallel fan-out pays one packaged_task per helper —
 // both are outside the zero-alloc contract.
@@ -280,26 +279,6 @@ TEST(AllocationTest, TwinForecastSteadyStateAllocatesNothing) {
   EXPECT_EQ(AllocationCount() - before, 0u)
       << "steady-state forecast ticks must reuse the spec buffers, the "
          "shared workload, and every shadow simulator's scratch";
-}
-
-TEST(AllocationTest, PreReservedLazyHeapStormAllocatesNothing) {
-  if (!WEBTX_ALLOC_COUNTING) {
-    GTEST_SKIP() << "allocation counting disabled under sanitizers";
-  }
-  constexpr uint32_t kN = 262144;
-  LazyDeleteHeap q(kN);
-  Rng rng(78);
-  const uint64_t before = AllocationCount();
-  for (uint32_t id = 0; id < kN / 2; ++id) {
-    q.Push(id, static_cast<double>(rng.NextInRange(0, 1u << 20)));
-  }
-  for (uint32_t i = 0; i < kN / 4; ++i) (void)q.Pop();
-  for (uint32_t id = kN / 2; id < kN; ++id) {
-    q.Push(id, static_cast<double>(rng.NextInRange(0, 1u << 20)));
-  }
-  while (!q.empty()) (void)q.Pop();
-  EXPECT_EQ(AllocationCount() - before, 0u)
-      << "a pre-reserved 262k storm must not touch the allocator";
 }
 
 }  // namespace

@@ -8,14 +8,11 @@
 // to the pre-shard reference digest.
 
 #include <algorithm>
-#include <queue>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/calendar_queue.h"
-#include "common/rng.h"
 #include "exp/chaos.h"
 #include "sched/scheduler_policy.h"
 #include "sim/fault_plan.h"
@@ -360,159 +357,6 @@ TEST(ShardEventOrderTest, CorrelatedCrashFellsVictimShardsInAscendingOrder) {
     first_victim = false;
   }
   EXPECT_EQ(r.outcomes[0].fate, TxnFate::kCompleted);
-}
-
-// ---------------------------------------------------------------------------
-// Exact-coincidence tie-breaks of the PENDING queue itself, shared
-// between the historical binary heap (std::priority_queue over
-// internal::PendingAfter — the exact shape of simulator.cc's
-// PendingQueue) and the calendar-queue replacement behind
-// SimOptions::pending_queue. The pending tier carries retry releases
-// (kind 0) and deferred arrivals (kind 1); same-instant collisions
-// between the two kinds, and between many events of one kind, must pop
-// in the identical (time, kind, id) order from both structures.
-
-using PendingHeap =
-    std::priority_queue<internal::PendingEvent,
-                        std::vector<internal::PendingEvent>,
-                        internal::PendingAfter>;
-
-struct WheelPendingTraits {
-  static double TimeOf(const internal::PendingEvent& e) { return e.time; }
-  static bool Before(const internal::PendingEvent& a,
-                     const internal::PendingEvent& b) {
-    return internal::PendingAfter{}(b, a);
-  }
-};
-
-using PendingWheel =
-    CalendarQueue<internal::PendingEvent, WheelPendingTraits>;
-
-TEST(PendingCoincidenceTest, RetryBeatsDeferredArrivalAtEqualTimeInBoth) {
-  // kind 0 (retry release) beats kind 1 (deferred arrival) at one
-  // double; within a kind, lower id first. Push order is adversarial
-  // (deferred first, descending ids).
-  PendingHeap heap;
-  PendingWheel wheel;
-  const SimTime t = 0.1 + 0.2;
-  for (const TxnId id : {9u, 4u, 7u}) {
-    const internal::PendingEvent e{t, 1, id};
-    heap.push(e);
-    wheel.push(e);
-  }
-  for (const TxnId id : {8u, 3u, 5u}) {
-    const internal::PendingEvent e{t, 0, id};
-    heap.push(e);
-    wheel.push(e);
-  }
-  const TxnId want_order[] = {3u, 5u, 8u, 4u, 7u, 9u};
-  const uint8_t want_kind[] = {0, 0, 0, 1, 1, 1};
-  for (size_t i = 0; i < 6; ++i) {
-    ASSERT_FALSE(heap.empty());
-    EXPECT_EQ(heap.top().id, want_order[i]);
-    EXPECT_EQ(heap.top().kind, want_kind[i]);
-    EXPECT_EQ(wheel.top().id, want_order[i]);
-    EXPECT_EQ(wheel.top().kind, want_kind[i]);
-    heap.pop();
-    wheel.pop();
-  }
-  EXPECT_TRUE(wheel.empty());
-}
-
-TEST(PendingCoincidenceTest, RandomizedPendingStreamsPopIdentically) {
-  // Simulator-shaped traffic: monotone-now pushes of retry/deferred
-  // events with a coarse backoff grid (exact-double collisions by
-  // construction), drained interleaved. Heap and wheel must agree on
-  // every pop across many seeds.
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    Rng rng(seed);
-    PendingHeap heap;
-    PendingWheel wheel;
-    SimTime now = 0.0;
-    TxnId id = 0;
-    for (int op = 0; op < 4000; ++op) {
-      if (rng.NextInRange(0, 99) < 60 || heap.empty()) {
-        // Backoff grid of quarter units, occasionally exactly `now` —
-        // the same-instant reschedule produced when an abort fires at
-        // the instant of a retry release.
-        const SimTime t =
-            now + static_cast<double>(rng.NextInRange(0, 16)) * 0.25;
-        const internal::PendingEvent e{
-            t, static_cast<uint8_t>(rng.NextInRange(0, 1)), id++};
-        heap.push(e);
-        wheel.push(e);
-      } else {
-        const internal::PendingEvent want = heap.top();
-        const internal::PendingEvent got = wheel.top();
-        ASSERT_EQ(got.time, want.time) << "seed " << seed << " op " << op;
-        ASSERT_EQ(got.kind, want.kind) << "seed " << seed << " op " << op;
-        ASSERT_EQ(got.id, want.id) << "seed " << seed << " op " << op;
-        heap.pop();
-        wheel.pop();
-        now = want.time;
-      }
-    }
-    while (!heap.empty()) {
-      ASSERT_EQ(wheel.top().id, heap.top().id) << "seed " << seed;
-      heap.pop();
-      wheel.pop();
-    }
-    EXPECT_TRUE(wheel.empty());
-  }
-}
-
-// ---------------------------------------------------------------------------
-// The whole-loop coincidence scenarios above, replayed under every
-// structure-knob combination: completion/outage, completion/crash,
-// crash/arrival, and correlated-crash instants must digest identically
-// whether the pending tier is the heap or the wheel and whether specs
-// live in the vector or the SoA arena.
-
-TEST(PendingCoincidenceTest, CrossShardCoincidencesSurviveStructureKnobs) {
-  FaultPlanConfig config;
-  config.crash_rate = 0.05;
-  config.mean_repair_duration = 5.0;
-  config.migration = MigrationPolicy::kCold;
-  config.seed = 3;
-  auto plan = FaultPlan::Create(config);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  const SimTime crash_time =
-      plan.ValueOrDie().StreamFor(1).next_crash_transition();
-  ASSERT_LT(crash_time, kNeverTime);
-
-  SimOptions options;
-  options.num_servers = 2;
-  options.fault_plan = plan.ValueOrDie();
-  options.record_outcomes = true;
-  options.record_schedule = true;
-  // T2 arrives at the exact crash instant — the crash/arrival collision.
-  const std::vector<TransactionSpec> txns = {
-      Txn(0, 0.0, 3.0 * crash_time, 100.0 * crash_time),
-      Txn(1, 0.0, 2.0 * crash_time, 100.0 * crash_time),
-      Txn(2, crash_time, 0.5, 100.0 * crash_time)};
-
-  uint64_t want = 0;
-  bool first = true;
-  for (const PendingQueueImpl pq :
-       {PendingQueueImpl::kBinaryHeap, PendingQueueImpl::kCalendarQueue}) {
-    for (const TxnStoreLayout store :
-         {TxnStoreLayout::kSpecVector, TxnStoreLayout::kArenaSoA}) {
-      options.pending_queue = pq;
-      options.txn_store = store;
-      auto sim = Simulator::Create(txns, options);
-      ASSERT_TRUE(sim.ok()) << sim.status();
-      RecordingPolicy policy;
-      const uint64_t digest = ScheduleDigest(sim.ValueOrDie().Run(policy));
-      if (first) {
-        want = digest;
-        first = false;
-      } else {
-        EXPECT_EQ(digest, want)
-            << "coincidence handling changed under pending_queue="
-            << static_cast<int>(pq) << " txn_store=" << static_cast<int>(store);
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -184,9 +184,8 @@ TEST(ShardedDifferentialTest, CountersMatchReference) {
 // so every multi-server round shuffles pick ranks across servers and
 // OnPlaced constantly re-homes entries between shards.
 
-constexpr const char* kShardedBases[] = {"FCFS", "EDF",  "SRPT",
-                                         "LS",   "HDF",  "HVF",
-                                         "ASETS*", "ASETS*-lazy"};
+constexpr const char* kShardedBases[] = {"FCFS", "EDF", "SRPT",  "LS",
+                                         "HDF",  "HVF", "ASETS*"};
 
 std::vector<TransactionSpec> MakeStealHeavyWorkload(uint64_t seed) {
   WorkloadSpec spec;
@@ -235,26 +234,6 @@ TEST(ShardedPolicyDifferentialTest, StealMatrixCrashy) {
 
 TEST(ShardedPolicyDifferentialTest, StealMatrixCorrelatedCrashes) {
   RunStealMatrix(Regime::kCorrelated);
-}
-
-// The huge-scale structures compose with sharded policy state: calendar
-// pending queue + arena-SoA store + sharded policies must still match
-// the reference running the historical structures and global policies.
-TEST(ShardedPolicyDifferentialTest, HugeStructuresMatchReference) {
-  const std::vector<TransactionSpec> txns = MakeStealHeavyWorkload(13);
-  for (const char* base : {"SRPT", "ASETS*", "ASETS*-lazy"}) {
-    SimOptions options = RegimeOptions(Regime::kFaulty, 4);
-    const uint64_t want = ReferenceDigest(txns, options, base);
-    options.pending_queue = PendingQueueImpl::kCalendarQueue;
-    options.txn_store = TxnStoreLayout::kArenaSoA;
-    for (const size_t threads : {size_t{1}, size_t{8}}) {
-      const RunResult got =
-          RunSharded(txns, options, std::string(base) + "-sharded", threads);
-      EXPECT_EQ(ScheduleDigest(got), want)
-          << "policy=" << base << "-sharded with calendar+SoA structures, "
-          << "shard_threads=" << threads;
-    }
-  }
 }
 
 // The steal protocol must actually engage on contended multi-server

@@ -86,15 +86,6 @@ TEST(ShardedPolicyConcurrencyTest, ParallelFlushMatchesGlobalPolicy) {
   }
 }
 
-TEST(ShardedPolicyConcurrencyTest, LazyHeapParallelFlushMatches) {
-  const std::vector<TransactionSpec> txns = MakeWorkload(23);
-  AsetsStarPolicy global;
-  const uint64_t want = DigestOf(txns, MakeOptions(4, 1, true), global);
-  AsetsStarShardedLazyPolicy parallel;
-  parallel.set_parallel_flush_threshold(0);
-  EXPECT_EQ(DigestOf(txns, MakeOptions(4, 8, true), parallel), want);
-}
-
 // Warm reuse: one policy object across repeated runs (Bind resets, the
 // shard pool persists inside the Simulator) must replay identically.
 TEST(ShardedPolicyConcurrencyTest, RepeatedRunsReplayIdentically) {
