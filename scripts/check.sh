@@ -11,19 +11,17 @@
 # bench harnesses without touching the committed BENCH_hotpath.json
 # baseline (full-run numbers; see README "Benchmarking").
 #
-# A chaos-smoke stage runs a short randomized fault-injection campaign
-# (tools/chaos) against the plain build: every case is audited by the
-# schedule validator, so crash/migration regressions that no fixed test
-# anticipates still fail the gate. A failing case is auto-shrunk and the
+# A chaos-smoke stage runs the randomized fault-injection campaigns of
+# tools/chaos against the plain build, one engine over four profiles at
+# seed 2009: sim (100 simulator cases), live (50 cases of the real
+# executor on worker threads under the virtual clock), steal (25
+# multi-server cases whose "-sharded" policy variant must reproduce the
+# global-state digest) and twin (25 digital-twin cases whose digest must
+# not move across forecast_threads 1/2/8; the forecast-engine unit
+# suite runs first). Every case runs twice (digests must match) and is
+# audited by its validator; a failing case is auto-shrunk and the
 # reproducer path is printed — commit it under
 # tests/integration/replays/ to pin the regression.
-#
-# A live-smoke stage runs the same idea against the REAL executor
-# (tools/chaos --live): randomized fault-injected cases on worker
-# threads under the deterministic virtual clock, each run twice (trace
-# digests must match) and audited by the live trace validator. It
-# catches attempt-lifecycle / failover / retry regressions that only
-# manifest with real thread interleavings.
 #
 # A bench-gate stage (opt-in: perf numbers are machine-relative, so it
 # only makes sense on the machine that produced the committed baseline)
@@ -34,57 +32,32 @@
 # WEBTX_BENCH_JSON unset and committing the updated JSON.
 #
 # A huge-smoke stage (opt-in) runs the 10^5-transaction open-system
-# point of bench/ext_huge_scale and a validator-audited
-# tools/chaos --huge case under a randomized fault cocktail at the
-# same population.
+# point of bench/ext_huge_scale and one validator-audited case of the
+# huge chaos profile (10^5 transactions under a randomized fault
+# cocktail).
 #
-# A steal-smoke stage runs the sharded-policy campaign (tools/chaos
-# --steal): multi-server overloaded cases run with a global-state policy
-# and its "-sharded" variant — the schedule digests must be
-# byte-identical (the work-stealing protocol must never change a
-# decision) and the validator audits every sharded run.
-#
-# A twin-smoke stage runs the digital-twin campaign (tools/chaos
-# --twin): randomized flash-crowd / ON-OFF cases where the shadow
-# simulator steers the live executor (rt::Twin) — every case runs twice
-# (trace+decision digests must match), the live validator audits the
-# trace, and the controller contract (hysteresis, dwell, fallback
-# cooldown) is checked decision by decision.
-#
-# Usage: scripts/check.sh [--fast] [--chaos-smoke] [--live-smoke]
-#                         [--bench-gate] [--huge-smoke] [--steal-smoke]
-#                         [--twin-smoke]
-#   --fast         plain preset only (skips sanitizers and bench smoke)
-#   --chaos-smoke  plain preset + chaos campaign only (quick fault audit)
-#   --live-smoke   plain preset + live executor campaign only (50 cases
-#                  of tools/chaos --live, digest-checked + validated)
+# Usage: scripts/check.sh [--fast] [--chaos-smoke] [--bench-gate]
+#                         [--huge-smoke]
+#   --fast         plain preset only (skips chaos, sanitizers and bench
+#                  smoke)
+#   --chaos-smoke  plain preset + the four chaos campaigns only
 #   --bench-gate   release build + fig08 perf-regression gate only
 #   --huge-smoke   release build + 10^5-txn end-to-end run and a
 #                  validator-audited 10^5-txn chaos case only
-#   --steal-smoke  plain preset + sharded-policy campaign only (25 cases
-#                  of tools/chaos --steal, digest-checked + validated)
-#   --twin-smoke   plain preset + digital-twin campaign only (25 cases
-#                  of tools/chaos --twin, digest-checked + validated)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FAST=0
 CHAOS_ONLY=0
-LIVE_ONLY=0
 BENCH_GATE=0
 HUGE_SMOKE=0
-STEAL_ONLY=0
-TWIN_ONLY=0
 for arg in "$@"; do
   case "$arg" in
     --fast) FAST=1 ;;
     --chaos-smoke) CHAOS_ONLY=1 ;;
-    --live-smoke) LIVE_ONLY=1 ;;
     --bench-gate) BENCH_GATE=1 ;;
     --huge-smoke) HUGE_SMOKE=1 ;;
-    --steal-smoke) STEAL_ONLY=1 ;;
-    --twin-smoke) TWIN_ONLY=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
@@ -282,52 +255,26 @@ huge_smoke() {
   echo "==> huge smoke [release]"
   WEBTX_BENCH_JSON=build-release/BENCH_smoke.json \
     ./build-release/bench/ext_huge_scale --smoke
-  ./build-release/tools/chaos --huge --cases 1 --seed 2009 --txns 100000 \
-    --out build-release/chaos_huge_reproducer.chaos
+  chaos_campaign ./build-release huge 1
+}
+
+# One seeded campaign of tools/chaos from the build in $1: profile $2,
+# $3 cases. A violation exits nonzero (failing the script) after writing
+# the shrunken reproducer to <build>/chaos_<profile>_reproducer.chaos.
+chaos_campaign() {
+  "$1/tools/chaos" --profile "$2" --cases "$3" --seed 2009 \
+    --out "$1/chaos_$2_reproducer.chaos"
 }
 
 chaos_smoke() {
-  # Seeded so the campaign is reproducible run to run; 100 randomized
-  # fault cases take well under a second. On a violation the tool exits
-  # nonzero (failing the script) after writing the shrunken reproducer.
   echo "==> chaos smoke [default]"
-  ./build/tools/chaos --cases 100 --seed 2009 \
-    --out build/chaos_reproducer.chaos
-}
-
-live_smoke() {
-  # 50 randomized cases against the real rt::Executor under the virtual
-  # clock: each case runs twice (trace digests must match) and the live
-  # validator audits every trace. Nonzero exit (violation or
-  # nondeterminism) fails the script after writing the reproducer.
-  echo "==> live chaos smoke [default]"
-  ./build/tools/chaos --live --cases 50 --seed 2009 \
-    --out build/live_chaos_reproducer.chaos
-}
-
-steal_smoke() {
-  # 25 multi-server overloaded cases, each run with a global-state policy
-  # and its "-sharded" variant: digests must be byte-identical and the
-  # validator audits every sharded run. Exits 1 on any divergence.
-  echo "==> steal smoke [default]"
-  ./build/tools/chaos --steal --cases 25 --seed 2009
-}
-
-twin_smoke() {
-  # 25 randomized digital-twin cases: the shadow-simulator controller
-  # steers rt::Executor through flash crowds / ON-OFF arrivals under the
-  # virtual clock. Each case runs twice (trace+decision digest must
-  # match), the live validator audits the trace, and the controller
-  # contract (dwell, hysteresis, fallback cooldown) is checked. A
-  # violation exits nonzero after writing the shrunken reproducer. The
-  # campaign also sweeps forecast_threads 1/2/8 per case — the digest
-  # must not move. The forecast-engine unit suite runs first: parallel
-  # fan-out and pruning must be byte-identical to the serial baseline
-  # before the randomized campaign bothers.
-  echo "==> twin smoke [default]"
+  # Parallel fan-out and pruning must be byte-identical to the serial
+  # forecast baseline before the randomized twin campaign bothers.
   ./build/tests/rt_test --gtest_filter='TwinForecastEngineTest.*'
-  ./build/tools/chaos --twin --cases 25 --seed 2009 \
-    --out build/twin_chaos_reproducer.chaos
+  chaos_campaign ./build sim 100
+  chaos_campaign ./build live 50
+  chaos_campaign ./build steal 25
+  chaos_campaign ./build twin 25
 }
 
 if [[ "$BENCH_GATE" == "1" ]]; then
@@ -349,33 +296,9 @@ if [[ "$CHAOS_ONLY" == "1" ]]; then
   exit 0
 fi
 
-if [[ "$LIVE_ONLY" == "1" ]]; then
-  run_preset default
-  live_smoke
-  echo "All checks passed."
-  exit 0
-fi
-
-if [[ "$STEAL_ONLY" == "1" ]]; then
-  run_preset default
-  steal_smoke
-  echo "All checks passed."
-  exit 0
-fi
-
-if [[ "$TWIN_ONLY" == "1" ]]; then
-  run_preset default
-  twin_smoke
-  echo "All checks passed."
-  exit 0
-fi
-
 run_preset default
 if [[ "$FAST" == "0" ]]; then
   chaos_smoke
-  live_smoke
-  steal_smoke
-  twin_smoke
   run_preset tsan
   run_preset asan
   run_preset ubsan

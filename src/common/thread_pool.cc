@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <utility>
 
 #include "common/check.h"
@@ -61,10 +62,23 @@ void ThreadPool::RunBatch(size_t count,
   for (size_t h = 0; h < helpers; ++h) {
     futures.push_back(Submit(drain));
   }
-  drain();
-  for (std::future<void>& f : futures) {
-    f.get();  // rethrows a helper's captured exception
+  // Every helper must finish before this frame (`next`, `job`) goes
+  // away, so a throw is held until all of them have; the caller's own
+  // exception wins, then the first helper's.
+  std::exception_ptr error;
+  try {
+    drain();
+  } catch (...) {
+    error = std::current_exception();
   }
+  for (std::future<void>& f : futures) {
+    try {
+      f.get();  // rethrows a helper's captured exception
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::Shutdown() {

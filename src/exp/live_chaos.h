@@ -1,16 +1,24 @@
 #ifndef WEBTX_EXP_LIVE_CHAOS_H_
 #define WEBTX_EXP_LIVE_CHAOS_H_
 
+// The executor-backed chaos profiles of the campaign engine
+// (exp/campaign.h): `live` drives rt::Executor directly, `twin` drives
+// rt::Twin (the executor steered by shadow simulations). Both run on a
+// VirtualClock, so every case replays digest-identically.
+
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "exp/campaign.h"
 #include "rt/executor.h"
+#include "rt/fault_injector.h"
 #include "rt/live_trace.h"
 #include "rt/live_validator.h"
+#include "rt/twin.h"
 #include "sim/fault_plan.h"
+#include "workload/live_arrivals.h"
 
 namespace webtx {
 
@@ -39,15 +47,14 @@ struct LiveChaosCase {
   /// duration * (0.5 + 1.5 * U[0,1)) — some attempts time out.
   double timeout_prob = 0.0;
 
-  // -- Executor configuration --
+  // -- Executor configuration (named as in rt::TwinOptions) --
   size_t num_workers = 2;
   /// Transaction-level policy spec (sched/policy_factory.h).
   std::string policy = "EDF";
-  /// Seeded fault streams, one per executor slot (migration policy
-  /// rides inside: warm/cold failover).
-  FaultPlanConfig fault;
-  double latency_spike_prob = 0.0;
-  double mean_latency_spike = 0.0;
+  /// Seeded fault streams, one per executor slot, and latency spikes.
+  rt::FaultInjectorOptions faults;
+  /// Failover of a crashed slot's attempt: warm or cold.
+  MigrationPolicy migration = MigrationPolicy::kWarm;
   /// Per-task retry budget and backoff (same for every task).
   uint32_t retry_max_attempts = 1;
   double retry_backoff = 0.0;
@@ -56,8 +63,8 @@ struct LiveChaosCase {
   double retry_max_backoff = 0.0;
   size_t retry_budget = 0;
   /// Admission controller: none, a static queue-depth cap, or the
-  /// adaptive brownout controller.
-  enum class Admission : uint8_t { kNone = 0, kQueueDepth, kBrownout };
+  /// adaptive brownout controller (a twin candidate's choices).
+  using Admission = rt::TwinCandidate::Admission;
   Admission admission = Admission::kNone;
   size_t admission_max_ready = 0;  // kQueueDepth cap
   bool watchdog = false;
@@ -87,59 +94,59 @@ Result<LiveChaosRun> RunLiveChaosCase(const LiveChaosCase& c);
 Status CheckLiveChaosInvariants(const LiveChaosCase& c,
                                 const LiveChaosRun& run);
 
-/// Replay file round-trip: "key value" lines under a versioned header.
-/// Unknown keys are an error (a replay must not silently lose a knob).
-std::string SerializeLiveChaosCase(const LiveChaosCase& c);
-Result<LiveChaosCase> ParseLiveChaosReplay(const std::string& text);
-
-/// True when the (shrunk) case still exhibits the failure being chased.
-using LiveChaosPredicate = std::function<bool(const LiveChaosCase&)>;
-
-/// Greedy shrink: repeatedly simplifies `c` (fewer tasks, dropped fault
-/// streams, disabled reactive machinery, fewer workers) keeping only
-/// mutations under which `still_fails` holds.
-LiveChaosCase ShrinkLiveChaosCase(LiveChaosCase c,
-                                  const LiveChaosPredicate& still_fails);
-
 /// The `index`-th case of a campaign, derived deterministically from
 /// `master_seed` (biased toward crash streams — the point of the
 /// harness).
 LiveChaosCase RandomLiveChaosCase(uint64_t master_seed, uint64_t index);
 
-struct LiveChaosCampaignOptions {
-  uint64_t master_seed = 1;
-  size_t num_cases = 100;
-  /// When non-empty, the shrunk reproducer of the first failure is
-  /// written here as a replay file.
-  std::string reproducer_path;
-  /// Progress hook: case index and its verdict ("" = passed).
-  std::function<void(size_t, const std::string&)> progress;
+/// The `live` profile of the campaign engine (exp/campaign.h): digest
+/// LiveTraceDigest, audit the live validator; `--mint` pins a case that
+/// still fails work over off a dead slot.
+const CaseProfile<LiveChaosCase>& LiveChaosProfile();
+
+/// One randomized digital-twin scenario (rt/twin.h) under a
+/// VirtualClock: a seeded open-loop workload (Poisson / bursty ON-OFF /
+/// flash crowd) served by the live executor while the shadow-simulator
+/// controller forecasts, switches, and — when the model is corrupted —
+/// falls back. Every knob is a value, so a case serializes to a replay
+/// file and re-runs digest-identically (the twin counterpart of
+/// LiveChaosCase; the digest additionally covers the controller's
+/// decision log).
+struct TwinChaosCase {
+  /// The open-loop workload (all draws derive from workload.seed).
+  LiveArrivalOptions workload{.shape = LiveArrivalShape::kFlashCrowd,
+                              .num_tasks = 80,
+                              .spike_start = 0.5,
+                              .spike_duration = 0.5};
+  /// The controller and the executor it steers (workers, faults,
+  /// retries, watchdog).
+  rt::TwinOptions controller = [] {
+    rt::TwinOptions options;
+    options.prune_prefix = 0.4;
+    return options;
+  }();
 };
 
-struct LiveChaosCampaignResult {
-  size_t cases_run = 0;
-  /// Validator-failing cases (including determinism mismatches).
-  size_t violations = 0;
-  /// Cases whose two runs produced different trace digests — the
-  /// determinism contract broke (counted in `violations` too).
-  size_t determinism_mismatches = 0;
-  std::string first_violation;
-  LiveChaosCase first_reproducer;
-  // Aggregate fault exposure, to prove the campaign exercised faults.
-  size_t total_crashes = 0;
-  size_t total_stalls = 0;
-  size_t total_migrations = 0;
-  size_t total_forced_aborts = 0;
-  size_t total_retries = 0;
-};
+/// Executes one case to quiescence and returns the twin's full report.
+Result<rt::TwinReport> RunTwinChaosCase(const TwinChaosCase& c);
 
-/// Runs `num_cases` random cases. Every case is executed TWICE: the two
-/// digests must match (determinism audit) and the first run must pass
-/// the live validator. The first failing case is shrunk and (optionally)
-/// written as a reproducer. Fails only on harness errors; validator
-/// violations are reported in the result.
-Result<LiveChaosCampaignResult> RunLiveChaosCampaign(
-    const LiveChaosCampaignOptions& options);
+/// Audits a run: the live-trace invariants (rt/live_validator.h) plus
+/// the controller contract — decision times strictly increasing,
+/// applied indices in range, every fallback pinning the static
+/// configuration and entering its cooldown. Ok iff no violations.
+Status CheckTwinChaosInvariants(const TwinChaosCase& c,
+                                const rt::TwinReport& report);
+
+/// The `index`-th case of a campaign, derived deterministically from
+/// `master_seed` (biased toward flash crowds and occasional corrupted
+/// models — the guard is the point of the harness).
+TwinChaosCase RandomTwinChaosCase(uint64_t master_seed, uint64_t index);
+
+/// The `twin` profile: digest over the trace and the decision log;
+/// neutral variants forecast_threads 1, 2 and 8 when the controller is
+/// on (the fan-out may change decision cost, never decisions); `--mint`
+/// pins a flash crowd with a corrupted model whose guard fires.
+const CaseProfile<TwinChaosCase>& TwinChaosProfile();
 
 }  // namespace webtx
 

@@ -48,8 +48,8 @@ struct FaultInjectorOptions {
 /// timed fault event due by `now` in deterministic (time, slot, kind)
 /// order, and DrawLatencySpike is consumed exactly once per dispatch.
 /// Given the same seed and the same dispatch sequence the injected
-/// fault timeline is identical run to run — the property `tools/chaos
-/// --live` pins with trace digests.
+/// fault timeline is identical run to run — the property the live chaos
+/// profile (`tools/chaos --profile live`) pins with trace digests.
 class FaultInjector {
  public:
   /// Validates the options (via FaultPlan::Create) and builds streams

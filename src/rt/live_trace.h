@@ -90,7 +90,7 @@ class LiveTraceRecorder {
 /// may be appended in either order; the digest sorts events by (time,
 /// txn, kind, slot, attempt, aux) first, making it a pure function of
 /// the executed timeline — the replay byte-identity contract of
-/// `tools/chaos --live`.
+/// `tools/chaos --profile live`.
 uint64_t LiveTraceDigest(const std::vector<LiveTraceEvent>& events);
 
 }  // namespace webtx::rt

@@ -305,7 +305,7 @@ struct TwinReport {
 /// own model being wrong). On a VirtualClock the whole loop — arrivals,
 /// faults, forecasts, reconfigurations — is one deterministic timeline:
 /// TwinReport::digest is byte-stable across repeats and host thread
-/// counts (tools/chaos --twin pins it).
+/// counts (tools/chaos --profile twin pins it).
 class Twin {
  public:
   explicit Twin(TwinOptions options);

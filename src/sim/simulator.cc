@@ -134,6 +134,11 @@ Result<Simulator> Simulator::CreateShared(
   if (workload == nullptr) {
     return Status::InvalidArgument("workload must be non-null");
   }
+  if (options.num_servers < 1 ||
+      options.num_servers > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "num_servers must be in [1, 2^32 - 1] (server ids are uint32_t)");
+  }
   if (options.retry.max_attempts < 1) {
     return Status::InvalidArgument("retry.max_attempts must be >= 1");
   }
@@ -893,6 +898,14 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
       if (pick_stamp[r] == round && !pick_taken[pick_slot[r]]) {
         next_running[s] = r;
         pick_taken[pick_slot[r]] = 1;
+      } else if (true_remaining_[r] <= kTimeEpsilon ||
+                 dispatch_time[s] + true_remaining_[r] <= now) {
+        // Simultaneous completions are handled one per scheduling
+        // point; a transaction whose work is already done keeps its
+        // server, whatever it ranks, so its completion fires at this
+        // instant instead of whenever it would next be dispatched. A
+        // pick left over waits for that completion's round.
+        next_running[s] = r;
       }
     }
     {

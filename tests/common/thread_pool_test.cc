@@ -146,6 +146,37 @@ TEST(ThreadPoolTest, RunBatchRethrowsJobExceptionOnCaller) {
   EXPECT_TRUE(ran.load());
 }
 
+TEST(ThreadPoolTest, RunBatchFinishesEveryJobBeforeRethrowing) {
+  // One index each for the caller and the lone helper: the caller's job
+  // throws while the helper's is still running. RunBatch may rethrow
+  // only once the helper is done with the batch (its drain loop reads
+  // the caller's frame).
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> helper_started{false};
+  std::atomic<bool> caller_threw{false};
+  std::atomic<bool> helper_done{false};
+  EXPECT_THROW(pool.RunBatch(2,
+                             [&](size_t) {
+                               if (std::this_thread::get_id() == caller) {
+                                 while (!helper_started.load()) {
+                                   std::this_thread::yield();
+                                 }
+                                 caller_threw.store(true);
+                                 throw std::runtime_error("caller failed");
+                               }
+                               helper_started.store(true);
+                               while (!caller_threw.load()) {
+                                 std::this_thread::yield();
+                               }
+                               std::this_thread::sleep_for(
+                                   std::chrono::milliseconds(20));
+                               helper_done.store(true);
+                             }),
+               std::runtime_error);
+  EXPECT_TRUE(helper_done.load());
+}
+
 TEST(ThreadPoolTest, DestructorDrainsQueuedJobs) {
   std::atomic<int> counter{0};
   {

@@ -1,10 +1,19 @@
-// Re-runs the committed chaos reproducer byte-identically. The replay
-// file was minted by the chaos tool (`tools/chaos --mint`): a randomized
-// cold-failover case shrunk to a local minimum against the predicate
-// "still migrates work off a crashed server". The pinned digest is the
-// cross-platform determinism contract — if it drifts, crash/migration
-// semantics changed observably and the golden value (plus the fault
-// model documentation) must be revisited deliberately.
+// Re-runs every committed chaos reproducer byte-identically through the
+// one replay parser (exp/campaign.h), the same path `tools/chaos
+// --replay FILE` takes: the header picks the profile, the case runs
+// twice (digests must match) plus its neutral variants, and the audit
+// must pass. Each file was minted by `tools/chaos --mint FILE
+// [--profile NAME]` — a randomized case shrunk to a local minimum
+// against the behaviour it pins — or written by hand to load a
+// structure. The pinned digests are the determinism contracts of the
+// simulator, the live executor and the digital twin: if one drifts,
+// that layer's observable behaviour changed and the golden value must
+// be revisited deliberately.
+//
+// Two more tables feed hostile one-key edits of the same files: each
+// must come back as an InvalidArgument, from the parser naming the line
+// or, for a value that clashes with another key, from the run — never
+// as an abort.
 
 #include <fstream>
 #include <sstream>
@@ -12,112 +21,251 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/campaign.h"
 #include "exp/chaos.h"
+#include "exp/live_chaos.h"
 
 namespace webtx {
 namespace {
 
-// Observable behavior of the committed replay, pinned at mint time.
-constexpr uint64_t kGoldenDigest = 0x05c6252ae9c8b68fULL;
-constexpr size_t kGoldenMigrations = 4;
+struct Golden {
+  const char* file;
+  const char* profile;
+  uint64_t digest;
+  /// Counters the replay must reproduce exactly.
+  Counters counters;
+  /// The behaviour the case was minted or written for.
+  void (*shape)(const std::string& text);
+};
 
-// The huge-structures replay: same determinism contract on a denser
-// case — 2000 transactions with workflows on 4 servers under ASETS*,
-// with outages, aborts + retries, and cold-migrating crashes all
-// loading the pending queue and the dependency graph at once.
-constexpr uint64_t kHugeGoldenDigest = 0x4cc0232e8f78aba3ULL;
-constexpr size_t kHugeGoldenMigrations = 1202;
+const Golden kGoldens[] = {
+    {"cold_migration_minimal.chaos", "sim", 0x05c6252ae9c8b68fULL,
+     {{"migrations", 4}},
+     [](const std::string& text) {
+       const ChaosCase c = SimChaosProfile().Parse(text).ValueOrDie();
+       EXPECT_GT(c.fault.crash_rate, 0.0);
+       EXPECT_EQ(c.fault.migration, MigrationPolicy::kCold);
+     }},
+    // 2000 transactions with workflows on 4 servers under ASETS*, with
+    // outages, aborts + retries, and cold-migrating crashes all loading
+    // the pending queue and the dependency graph at once.
+    {"huge_structures_cold_migration.chaos", "sim", 0x4cc0232e8f78aba3ULL,
+     {{"migrations", 1202}},
+     [](const std::string& text) {
+       const ChaosCase c = SimChaosProfile().Parse(text).ValueOrDie();
+       EXPECT_EQ(c.policy, "ASETS*");
+       EXPECT_EQ(c.num_servers, 4u);
+       EXPECT_EQ(c.fault.migration, MigrationPolicy::kCold);
+     }},
+    // Real worker threads under the virtual clock: thread interleaving
+    // must not leak into the recorded timeline.
+    {"live_cold_migration_minimal.chaos", "live", 0x3f122a4cad36620bULL,
+     {{"migrations", 1}, {"completed", 66}},
+     [](const std::string& text) {
+       const LiveChaosCase c = LiveChaosProfile().Parse(text).ValueOrDie();
+       EXPECT_GT(c.faults.plan.crash_rate, 0.0);
+       EXPECT_EQ(c.migration, MigrationPolicy::kCold);
+     }},
+    // A flash crowd with a corrupted shadow model: the guard falls back
+    // to the static config amid real switches.
+    {"twin_flash_guard_minimal.chaos", "twin", 0x1643c442aef88691ULL,
+     {{"decisions", 12}, {"switches", 2}, {"fallbacks", 1}, {"completed", 59}},
+     [](const std::string& text) {
+       const TwinChaosCase c = TwinChaosProfile().Parse(text).ValueOrDie();
+       EXPECT_TRUE(c.controller.controller_enabled);
+       EXPECT_GT(c.controller.snapshot_corruption, 1.0);
+       EXPECT_GE(c.controller.candidates.size(), 2u);
+     }},
+    // Candidate forecasts fanned out over 8 threads; the check's neutral
+    // variants re-run it at 1 and 2 threads against the same digest.
+    {"twin_parallel_forecast_minimal.chaos", "twin", 0x2a7eb7e5e14c0135ULL,
+     {{"decisions", 13}, {"switches", 1}, {"completed", 73}},
+     [](const std::string& text) {
+       const TwinChaosCase c = TwinChaosProfile().Parse(text).ValueOrDie();
+       EXPECT_EQ(c.controller.forecast_threads, 8u);
+     }},
+};
 
-std::string ReplayPath() {
-  return std::string(WEBTX_REPLAY_DIR) + "/cold_migration_minimal.chaos";
-}
-
-std::string HugeReplayPath() {
-  return std::string(WEBTX_REPLAY_DIR) +
-         "/huge_structures_cold_migration.chaos";
-}
-
-std::string ReadFileAt(const std::string& path) {
-  std::ifstream file(path);
-  EXPECT_TRUE(file.is_open()) << "missing replay file: " << path;
+std::string ReadReplay(const char* file) {
+  const std::string path = std::string(WEBTX_REPLAY_DIR) + "/" + file;
+  std::ifstream in(path);
+  EXPECT_TRUE(in.is_open()) << "missing replay file: " << path;
   std::ostringstream text;
-  text << file.rdbuf();
+  text << in.rdbuf();
   return text.str();
 }
 
-std::string ReadReplayFile() { return ReadFileAt(ReplayPath()); }
+const ChaosProfile& ProfileOf(const std::string& text) {
+  auto profile = ReplayProfile(text);
+  EXPECT_TRUE(profile.ok()) << profile.status();
+  return *profile.ValueOrDie();
+}
+
+void ExpectParses(const Golden& g) {
+  const std::string text = ReadReplay(g.file);
+  EXPECT_EQ(ProfileOf(text).name, g.profile);
+  g.shape(text);
+}
+
+void ExpectReplaysByteIdentically(const Golden& g) {
+  const std::string text = ReadReplay(g.file);
+  auto check = ProfileOf(text).Replay(text);
+  ASSERT_TRUE(check.ok()) << check.status();
+  const CaseRun& run = check.ValueOrDie();
+  EXPECT_TRUE(run.verdict.ok()) << run.verdict;
+  EXPECT_EQ(run.digest, g.digest);
+  for (const auto& [counter, value] : g.counters) {
+    EXPECT_EQ(CounterOf(run.counters, counter), value) << counter;
+  }
+}
+
+void ExpectLosslessReserialization(const Golden& g) {
+  const std::string text = ReadReplay(g.file);
+  auto again = ProfileOf(text).Reserialize(text);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again.ValueOrDie(), text);
+}
 
 TEST(ChaosReplayIntegrationTest, CommittedReproducerParses) {
-  auto parsed = ParseChaosReplay(ReadReplayFile());
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  const ChaosCase& c = parsed.ValueOrDie();
-  // The minted case is a cold-failover crash scenario by construction.
-  EXPECT_GT(c.fault.crash_rate, 0.0);
-  EXPECT_EQ(c.fault.migration, MigrationPolicy::kCold);
+  ExpectParses(kGoldens[0]);
 }
-
 TEST(ChaosReplayIntegrationTest, ReplaysByteIdentically) {
-  auto parsed = ParseChaosReplay(ReadReplayFile());
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  const ChaosCase c = std::move(parsed).ValueOrDie();
-
-  auto first = RunChaosCase(c);
-  ASSERT_TRUE(first.ok()) << first.status();
-  const RunResult& r = first.ValueOrDie();
-
-  // The run still exhibits the behavior it was shrunk for, passes the
-  // full invariant audit, and reproduces the pinned digest bit for bit.
-  EXPECT_EQ(r.num_migrations, kGoldenMigrations);
-  const Status verdict = CheckChaosInvariants(c, r);
-  EXPECT_TRUE(verdict.ok()) << verdict.ToString();
-  EXPECT_EQ(ScheduleDigest(r), kGoldenDigest);
-
-  // And a second run of the same parsed case is indistinguishable.
-  auto second = RunChaosCase(c);
-  ASSERT_TRUE(second.ok()) << second.status();
-  EXPECT_EQ(ScheduleDigest(second.ValueOrDie()), kGoldenDigest);
+  ExpectReplaysByteIdentically(kGoldens[0]);
 }
-
 TEST(ChaosReplayIntegrationTest, ReserializingTheFileIsLossless) {
-  const std::string text = ReadReplayFile();
-  auto parsed = ParseChaosReplay(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(SerializeChaosCase(parsed.ValueOrDie()), text);
+  ExpectLosslessReserialization(kGoldens[0]);
 }
-
 TEST(ChaosReplayIntegrationTest, HugeStructuresReproducerParses) {
-  auto parsed = ParseChaosReplay(ReadFileAt(HugeReplayPath()));
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  const ChaosCase& c = parsed.ValueOrDie();
-  EXPECT_EQ(c.policy, "ASETS*");
-  EXPECT_EQ(c.num_servers, 4u);
-  EXPECT_EQ(c.fault.migration, MigrationPolicy::kCold);
+  ExpectParses(kGoldens[1]);
 }
-
 TEST(ChaosReplayIntegrationTest, HugeStructuresReplayByteIdentical) {
-  auto parsed = ParseChaosReplay(ReadFileAt(HugeReplayPath()));
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  const ChaosCase c = std::move(parsed).ValueOrDie();
-
-  auto run = RunChaosCase(c);
-  ASSERT_TRUE(run.ok()) << run.status();
-  const RunResult& r = run.ValueOrDie();
-  EXPECT_EQ(r.num_migrations, kHugeGoldenMigrations);
-  const Status verdict = CheckChaosInvariants(c, r);
-  EXPECT_TRUE(verdict.ok()) << verdict.ToString();
-  EXPECT_EQ(ScheduleDigest(r), kHugeGoldenDigest);
-
-  // And a second run of the same parsed case is indistinguishable.
-  auto second = RunChaosCase(c);
-  ASSERT_TRUE(second.ok()) << second.status();
-  EXPECT_EQ(ScheduleDigest(second.ValueOrDie()), kHugeGoldenDigest);
+  ExpectReplaysByteIdentically(kGoldens[1]);
+}
+TEST(ChaosReplayIntegrationTest, HugeStructuresFileIsLossless) {
+  ExpectLosslessReserialization(kGoldens[1]);
+}
+TEST(LiveChaosReplayIntegrationTest, CommittedReproducerParses) {
+  ExpectParses(kGoldens[2]);
+}
+TEST(LiveChaosReplayIntegrationTest, ReplaysByteIdentically) {
+  ExpectReplaysByteIdentically(kGoldens[2]);
+}
+TEST(LiveChaosReplayIntegrationTest, ReserializingTheFileIsLossless) {
+  ExpectLosslessReserialization(kGoldens[2]);
+}
+TEST(TwinReplayIntegrationTest, CommittedReproducerParses) {
+  ExpectParses(kGoldens[3]);
+}
+TEST(TwinReplayIntegrationTest, ReplaysByteIdentically) {
+  ExpectReplaysByteIdentically(kGoldens[3]);
+}
+TEST(TwinReplayIntegrationTest, ReserializingTheFileIsLossless) {
+  ExpectLosslessReserialization(kGoldens[3]);
+}
+TEST(TwinReplayIntegrationTest, ParallelForecastReplayPinsItsDigest) {
+  ExpectParses(kGoldens[4]);
+  ExpectReplaysByteIdentically(kGoldens[4]);
+  ExpectLosslessReserialization(kGoldens[4]);
 }
 
-TEST(ChaosReplayIntegrationTest, HugeStructuresFileIsLossless) {
-  const std::string text = ReadFileAt(HugeReplayPath());
-  auto parsed = ParseChaosReplay(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(SerializeChaosCase(parsed.ValueOrDie()), text);
+// One-key edits that once tripped a library CHECK, wrapped a '-1' to
+// 2^64-1, or named more ids than a uint32_t holds — and two that were
+// silently wrong (a truncated retry budget, weights drawn from the
+// whole 64-bit range).
+struct HostileEdit {
+  const char* file;
+  const char* key;
+  const char* value;
+};
+
+constexpr char kSim[] = "cold_migration_minimal.chaos";
+constexpr char kLive[] = "live_cold_migration_minimal.chaos";
+constexpr char kTwin[] = "twin_flash_guard_minimal.chaos";
+
+const HostileEdit kHostileEdits[] = {
+    {kSim, "num_servers", "0"},
+    {kSim, "num_servers", "-1"},
+    {kSim, "num_servers", "4294967297"},
+    {kSim, "num_transactions", "-1"},
+    {kSim, "num_transactions", "4294967297"},
+    {kSim, "max_workflows_per_txn", "-1"},
+    {kSim, "retry_max_attempts", "4294967297"},
+    {kSim, "workload_seed", "18446744073709551616"},
+    {kLive, "num_tasks", "-1"},
+    {kLive, "num_tasks", "4294967297"},
+    {kLive, "num_workers", "-1"},
+    {kLive, "num_workers", "4294967297"},
+    {kLive, "max_weight", "0"},
+    {kLive, "latency_spike_prob", "-1"},
+    {kLive, "latency_spike_prob", "1e308"},
+    {kLive, "latency_spike_prob", "4294967297"},
+    {kLive, "retry_max_attempts", "4294967297"},
+    {kLive, "retry_max_backoff", "-1"},
+    {kLive, "watchdog_stall_seconds", "-1"},
+    {kTwin, "num_tasks", "-1"},
+    {kTwin, "num_tasks", "4294967297"},
+    {kTwin, "num_workers", "-1"},
+    {kTwin, "num_workers", "4294967297"},
+    {kTwin, "forecast_threads", "-1"},
+    {kTwin, "latency_spike_prob", "-1"},
+    {kTwin, "latency_spike_prob", "1e308"},
+    {kTwin, "latency_spike_prob", "4294967297"},
+    {kTwin, "retry_max_backoff", "-1"},
+    {kTwin, "watchdog_stall_seconds", "-1"},
+    {kTwin, "deadline_slack", "-1"},
+    {kTwin, "max_weight", "0"},
+    {kTwin, "spike_factor", "0"},
+    {kTwin, "spike_factor", "-1"},
+    {kTwin, "spike_start", "-1"},
+    {kTwin, "spike_duration", "-1"},
+};
+
+// Edits whose value is in range alone but that the runner rejects with
+// the rest of the case, before the executor could CHECK them.
+const HostileEdit kCrossFieldEdits[] = {
+    {kLive, "admission", "depth"},         // admission_max_ready is 0
+    {kLive, "latency_spike_prob", "0.5"},  // mean_latency_spike is 0
+    {kTwin, "latency_spike_prob", "0.5"},  // mean_latency_spike is 0
+};
+
+std::string Edited(const HostileEdit& edit) {
+  std::istringstream lines(ReadReplay(edit.file));
+  std::string edited;
+  bool found = false;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(std::string(edit.key) + " ", 0) == 0) {
+      line = std::string(edit.key) + " " + edit.value;
+      found = true;
+    }
+    edited += line + "\n";
+  }
+  EXPECT_TRUE(found) << edit.file << " has no " << edit.key;
+  return edited;
+}
+
+std::string Describe(const HostileEdit& edit) {
+  return std::string(edit.file) + ": " + edit.key + " " + edit.value;
+}
+
+TEST(ReplayValidationTest, HostileEditsReturnAStatusNamingTheLine) {
+  for (const HostileEdit& edit : kHostileEdits) {
+    const std::string edited = Edited(edit);
+    const Status parsed = ProfileOf(edited).Reserialize(edited).status();
+    EXPECT_EQ(parsed.code(), StatusCode::kInvalidArgument) << Describe(edit);
+    EXPECT_NE(parsed.ToString().find("line "), std::string::npos)
+        << Describe(edit) << ": " << parsed.ToString();
+    EXPECT_FALSE(ProfileOf(edited).Replay(edited).ok()) << Describe(edit);
+  }
+}
+
+TEST(ReplayValidationTest, CrossFieldEditsReturnAStatusFromTheRun) {
+  for (const HostileEdit& edit : kCrossFieldEdits) {
+    const std::string edited = Edited(edit);
+    EXPECT_TRUE(ProfileOf(edited).Reserialize(edited).ok()) << Describe(edit);
+    EXPECT_EQ(ProfileOf(edited).Replay(edited).status().code(),
+              StatusCode::kInvalidArgument)
+        << Describe(edit);
+  }
 }
 
 }  // namespace

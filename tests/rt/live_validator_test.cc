@@ -33,14 +33,14 @@ LiveChaosCase SeasonedCase() {
   c.timeout_prob = 0.2;
   c.num_workers = 3;
   c.policy = "EDF";
-  c.fault.outage_rate = 0.8;
-  c.fault.mean_outage_duration = 0.3;
-  c.fault.crash_rate = 0.6;
-  c.fault.mean_repair_duration = 0.4;
-  c.fault.abort_rate = 0.3;
-  c.fault.seed = 7;
-  c.latency_spike_prob = 0.2;
-  c.mean_latency_spike = 0.03;
+  c.faults.plan.outage_rate = 0.8;
+  c.faults.plan.mean_outage_duration = 0.3;
+  c.faults.plan.crash_rate = 0.6;
+  c.faults.plan.mean_repair_duration = 0.4;
+  c.faults.plan.abort_rate = 0.3;
+  c.faults.plan.seed = 7;
+  c.faults.latency_spike_prob = 0.2;
+  c.faults.mean_latency_spike = 0.03;
   c.retry_max_attempts = 3;
   c.retry_backoff = 0.05;
   c.retry_backoff_multiplier = 2.0;

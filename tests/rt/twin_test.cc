@@ -1,7 +1,7 @@
 // Digital-twin serving loop unit tests (rt/twin.h): option validation,
 // deterministic end-to-end service, the control-tick grid, and
 // decision/counter agreement. Heavier randomized coverage (fallbacks,
-// corruption, campaigns) lives in exp/twin_chaos_test.cc.
+// corruption, campaigns) lives in exp/chaos_test.cc.
 
 #include "rt/twin.h"
 

@@ -4,6 +4,7 @@
 #include "sched/policies/asets_star.h"
 #include "sched/policies/single_queue_policies.h"
 #include "sched/policy_factory.h"
+#include "sim/schedule_validator.h"
 #include "sim/simulator.h"
 #include "testing/fake_view.h"
 #include "workload/generator.h"
@@ -181,6 +182,43 @@ TEST(MultiServerTest, SingleServerOptionMatchesDefault) {
   const RunResult b = RunServers(txns, policy, 1);
   for (size_t i = 0; i < txns.size(); ++i) {
     EXPECT_EQ(a.outcomes[i].finish, b.outcomes[i].finish);
+  }
+}
+
+TEST(MultiServerTest, SimultaneousCompletionsFinishAtTheirInstant) {
+  // T0 and T1 both complete at t=2, server 0 (T1) first. T1's
+  // completion readies T2 and T3, which outrank T0; the round between
+  // the two completions must not preempt T0, whose remaining work is
+  // already zero, back into the ready set — its finish is t=2, not the
+  // next time it would be dispatched (t=5).
+  const std::vector<TransactionSpec> txns = {
+      Txn(0, 0, 2, 100), Txn(1, 0, 2, 50), Txn(2, 0, 3, 6, 1.0, {1}),
+      Txn(3, 0, 3, 7, 1.0, {1})};
+  for (const char* name : {"EDF", "ASETS*"}) {
+    auto policy = CreatePolicy(name);
+    ASSERT_TRUE(policy.ok());
+    SimOptions options;
+    options.num_servers = 2;
+    options.record_outcomes = true;
+    options.record_schedule = true;
+    auto sim = Simulator::Create(txns, options);
+    ASSERT_TRUE(sim.ok()) << sim.status();
+    const RunResult r = sim.ValueOrDie().Run(*policy.ValueOrDie());
+    EXPECT_EQ(r.outcomes[0].finish, 2.0) << name;
+    EXPECT_EQ(r.outcomes[1].finish, 2.0) << name;
+    EXPECT_EQ(r.outcomes[2].finish, 5.0) << name;
+    EXPECT_EQ(r.outcomes[3].finish, 5.0) << name;
+    const Status verdict = ValidateSchedule(txns, r, 2);
+    EXPECT_TRUE(verdict.ok()) << name << ": " << verdict.ToString();
+  }
+}
+
+TEST(MultiServerTest, CreateRejectsServerCountsOutsideTheIdRange) {
+  for (const size_t servers : {size_t{0}, size_t{1} << 32}) {
+    SimOptions options;
+    options.num_servers = servers;
+    EXPECT_FALSE(Simulator::Create({Txn(0, 0, 1, 10)}, options).ok())
+        << servers;
   }
 }
 
