@@ -6,23 +6,20 @@
 // and (b) ASETS*'s advantage over the baselines survives parallelism.
 //
 // A second section benchmarks the sharded event loop itself: a
-// num_servers x shard-threads sweep of wall-clock against the frozen
-// pre-shard simulator (tests/testing/reference_simulator.h), with the
-// loop's own ShardTiming accounting (fault-timeline pregeneration vs
-// barrier stalls) broken out per cell. shard_threads must never change
-// results, so every sharded cell is fingerprint-checked against the
-// reference run before its time is reported.
+// num_servers sweep of wall-clock against the frozen pre-shard
+// simulator (tests/testing/reference_simulator.h). Sharding must never
+// change results, so every cell is fingerprint-checked against the
+// reference run before its time is reported. A third section times
+// ASETS*-sharded against the global-state ASETS* in interleaved pairs.
 
 #include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "sched/policies/asets_star.h"
-#include "sched/policies/asets_star_sharded.h"
 #include "sim/simulator.h"
 #include "tests/testing/reference_simulator.h"
 #include "workload/generator.h"
@@ -54,7 +51,7 @@ void RunForServers(size_t servers, Table& table) {
 
 // ---------------------------------------------------------------------------
 // Sharded event-loop timing: production Simulator vs the pre-shard
-// reference, across num_servers x shard_threads.
+// reference, across num_servers.
 
 using Clock = std::chrono::steady_clock;
 
@@ -65,11 +62,6 @@ constexpr int kShardReps = 5;
 // the bench gate consumes, so it gets the extra samples (each rep is
 // only a few ms; the tardiness sweep dominates the binary's runtime).
 constexpr int kShardPairedReps = 15;
-
-// Thread-scaling ratios are only recorded when both wall times clear
-// this floor: a sub-2ms run is dominated by scheduler noise and a
-// speedup computed from it would record noise as a trajectory point.
-constexpr double kMinSpeedupMs = 2.0;
 
 // Cheap equality fingerprint of a run (full byte-identity is pinned by
 // tests/sim/sharded_differential_test.cc; the bench only needs to prove
@@ -107,14 +99,10 @@ std::vector<TransactionSpec> ShardWorkload(size_t servers) {
   return gen.ValueOrDie().Generate(1);
 }
 
-SimOptions ShardOptions(size_t servers, size_t shard_threads,
-                        ShardTiming* timing) {
+SimOptions ShardOptions(size_t servers) {
   SimOptions options;
   options.num_servers = servers;
-  options.shard_threads = shard_threads;
-  options.timing = timing;
-  // Fault-dense and UNcorrelated, so the buffered fault-timeline path
-  // (and its background pregeneration) engages at shard_threads > 1.
+  // Fault-dense: every shard carries outage and abort traffic.
   FaultPlanConfig fault;
   fault.outage_rate = 0.02;
   fault.mean_outage_duration = 5.0;
@@ -128,136 +116,89 @@ SimOptions ShardOptions(size_t servers, size_t shard_threads,
   return options;
 }
 
-// Best-of-kShardReps wall-clock of sim.Run (one warmup first). When
-// `timing` is non-null it is zeroed per rep and the snapshot of the best
-// rep is left in *best_timing.
+// Best-of-kShardReps wall-clock of sim.Run (one warmup first).
 template <typename Sim>
-double BestRunMs(Sim& sim, SchedulerPolicy& policy, ShardTiming* timing,
-                 ShardTiming* best_timing, RunFingerprint* fingerprint) {
+double BestRunMs(Sim& sim, SchedulerPolicy& policy,
+                 RunFingerprint* fingerprint) {
   (void)sim.Run(policy);  // warmup
   double best_ms = 0.0;
   for (int rep = 0; rep < kShardReps; ++rep) {
-    if (timing != nullptr) *timing = ShardTiming{};
     const auto t0 = Clock::now();
     const RunResult r = sim.Run(policy);
     const double ms =
         std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
     if (rep == 0 || ms < best_ms) {
       best_ms = ms;
-      if (timing != nullptr && best_timing != nullptr) *best_timing = *timing;
-      if (fingerprint != nullptr) *fingerprint = RunFingerprint::Of(r);
+      *fingerprint = RunFingerprint::Of(r);
     }
   }
   return best_ms;
 }
 
 void RunShardSweep(std::vector<bench::BenchRow>& rows, Table& table) {
-  const std::vector<size_t> thread_counts = {1, 2, 8};
   for (const size_t servers : {1u, 2u, 4u, 8u, 32u}) {
     const auto txns = ShardWorkload(servers);
 
-    // Pre-shard baseline: same workload, same fault plan (the reference
-    // ignores the sharding knobs, as the contract requires).
-    auto ref = testing::ReferenceSimulator::Create(
-        txns, ShardOptions(servers, 1, nullptr));
+    // Pre-shard baseline: same workload, same fault plan.
+    auto ref =
+        testing::ReferenceSimulator::Create(txns, ShardOptions(servers));
     WEBTX_CHECK(ref.ok()) << ref.status().ToString();
     AsetsStarPolicy ref_policy;
     RunFingerprint ref_fp;
-    const double ref_ms =
-        BestRunMs(ref.ValueOrDie(), ref_policy, nullptr, nullptr, &ref_fp);
+    const double ref_ms = BestRunMs(ref.ValueOrDie(), ref_policy, &ref_fp);
     const std::string servers_cfg = "servers=" + std::to_string(servers);
     rows.push_back({"ext_multi_server", servers_cfg, "reference_wall_ms",
                     ref_ms, "ms"});
 
-    std::vector<double> table_row = {ref_ms};
-    double t1_ms = 0.0;
-    ShardTiming t8_timing;
-    for (const size_t threads : thread_counts) {
-      ShardTiming timing;
-      auto sim = Simulator::Create(
-          txns, ShardOptions(servers, threads, &timing));
-      WEBTX_CHECK(sim.ok()) << sim.status().ToString();
-      AsetsStarPolicy policy;
-      ShardTiming best_timing;
-      RunFingerprint fp;
-      const double ms =
-          BestRunMs(sim.ValueOrDie(), policy, &timing, &best_timing, &fp);
-      WEBTX_CHECK(fp == ref_fp)
-          << "sharded run diverged from the reference at servers=" << servers
-          << " shard_threads=" << threads;
-      const std::string cfg =
-          servers_cfg + " threads=" + std::to_string(threads);
-      rows.push_back({"ext_multi_server", cfg, "wall_ms", ms, "ms"});
-      rows.push_back({"ext_multi_server", cfg, "speedup_vs_reference",
-                      ref_ms / ms, "x"});
-      rows.push_back({"ext_multi_server", cfg, "pregen_ms",
-                      best_timing.pregen_ms, "ms"});
-      rows.push_back({"ext_multi_server", cfg, "barrier_wait_ms",
-                      best_timing.barrier_wait_ms, "ms"});
-      rows.push_back({"ext_multi_server", cfg, "timeline_chunks",
-                      static_cast<double>(best_timing.chunks), "chunks"});
-      table_row.push_back(ms);
-      if (threads == 1) t1_ms = ms;
-      if (threads == 8) t8_timing = best_timing;
-    }
-    const double t8_ms = table_row.back();
-    if (t1_ms >= kMinSpeedupMs && t8_ms >= kMinSpeedupMs) {
-      rows.push_back({"ext_multi_server", servers_cfg, "speedup_t8_vs_t1",
-                      t1_ms / t8_ms, "x"});
-    } else {
-      std::cout << "(skipping speedup_t8_vs_t1 at " << servers_cfg
-                << ": wall times below the " << kMinSpeedupMs
-                << " ms floor)\n";
-    }
-    table_row.push_back(ref_ms / t1_ms);
-    table_row.push_back(t8_timing.pregen_ms);
-    table_row.push_back(t8_timing.barrier_wait_ms);
-    table.AddNumericRow(std::to_string(servers), table_row);
+    auto sim = Simulator::Create(txns, ShardOptions(servers));
+    WEBTX_CHECK(sim.ok()) << sim.status().ToString();
+    AsetsStarPolicy policy;
+    RunFingerprint fp;
+    const double ms = BestRunMs(sim.ValueOrDie(), policy, &fp);
+    WEBTX_CHECK(fp == ref_fp)
+        << "sharded run diverged from the reference at servers=" << servers;
+    // "threads=1" keeps the row keys of the committed trajectory.
+    const std::string cfg = servers_cfg + " threads=1";
+    rows.push_back({"ext_multi_server", cfg, "wall_ms", ms, "ms"});
+    rows.push_back({"ext_multi_server", cfg, "speedup_vs_reference",
+                    ref_ms / ms, "x"});
+    table.AddNumericRow(std::to_string(servers), {ref_ms, ms, ref_ms / ms});
   }
 }
 
 // ---------------------------------------------------------------------------
-// Sharded policy state: ASETS*-sharded (per-shard ready structures +
-// deterministic work stealing) vs the global-state ASETS*, across
-// num_servers x shard_threads. Every sharded cell is fingerprint-checked
-// against the global run first — the steal protocol must never change
-// the schedule — and the new ShardTiming fields break the cost out:
-// policy_wait_ms is the wall time inside the per-event scheduling round,
-// steal_count the cross-shard entry moves the run performed.
+// Sharded policy state: ASETS*-sharded (per-server workflow ownership +
+// deterministic steal accounting) vs the global-state ASETS*, across
+// num_servers. The sharded run is fingerprint-checked against the global
+// run first — ownership must never change the schedule — and its steal
+// count is the ownership moves the run performed.
 
 void RunShardedPolicySweep(std::vector<bench::BenchRow>& rows, Table& table) {
-  const std::vector<size_t> thread_counts = {2, 8};
   for (const size_t servers : {1u, 2u, 4u, 8u}) {
     const auto txns = ShardWorkload(servers);
     const std::string servers_cfg = "servers=" + std::to_string(servers);
 
-    // Global-state baseline vs the threads=1 sharded run, measured
-    // INTERLEAVED (one rep of each per loop pass, best-of). Both are
-    // serial, so this pair is the no-regression gate; sequential
-    // best-of-N blocks drift apart by several percent on a loaded
-    // one-core host, while alternating reps sees the same host state.
-    ShardTiming g_timing;
-    ShardTiming s1_timing;
-    auto gsim =
-        Simulator::Create(txns, ShardOptions(servers, 1, &g_timing));
+    // Global-state baseline vs the sharded run, measured INTERLEAVED
+    // (one rep of each per loop pass, best-of). This pair is the
+    // no-regression gate; sequential best-of-N blocks drift apart by
+    // several percent on a loaded host, while alternating reps sees the
+    // same host state.
+    auto gsim = Simulator::Create(txns, ShardOptions(servers));
     WEBTX_CHECK(gsim.ok()) << gsim.status().ToString();
-    auto s1sim =
-        Simulator::Create(txns, ShardOptions(servers, 1, &s1_timing));
-    WEBTX_CHECK(s1sim.ok()) << s1sim.status().ToString();
+    auto ssim = Simulator::Create(txns, ShardOptions(servers));
+    WEBTX_CHECK(ssim.ok()) << ssim.status().ToString();
     AsetsStarPolicy global;
-    AsetsStarShardedPolicy sharded_t1;
-    ShardTiming g_best;
-    ShardTiming s1_best;
+    AsetsStarPolicy sharded;
+    sharded.EnableSharded();
     RunFingerprint g_fp;
-    RunFingerprint s1_fp;
+    RunFingerprint s_fp;
     double global_ms = 0.0;
-    double t1_ms = 0.0;
+    double sharded_ms = 0.0;
     std::vector<double> pair_ratios;
     pair_ratios.reserve(kShardPairedReps);
-    (void)gsim.ValueOrDie().Run(global);      // warmups
-    (void)s1sim.ValueOrDie().Run(sharded_t1);
+    (void)gsim.ValueOrDie().Run(global);  // warmups
+    (void)ssim.ValueOrDie().Run(sharded);
     for (int rep = 0; rep < kShardPairedReps; ++rep) {
-      g_timing = ShardTiming{};
       auto t0 = Clock::now();
       const RunResult gr = gsim.ValueOrDie().Run(global);
       const double g_ms =
@@ -265,89 +206,40 @@ void RunShardedPolicySweep(std::vector<bench::BenchRow>& rows, Table& table) {
               .count();
       if (rep == 0 || g_ms < global_ms) {
         global_ms = g_ms;
-        g_best = g_timing;
         g_fp = RunFingerprint::Of(gr);
       }
-      s1_timing = ShardTiming{};
       t0 = Clock::now();
-      const RunResult sr = s1sim.ValueOrDie().Run(sharded_t1);
+      const RunResult sr = ssim.ValueOrDie().Run(sharded);
       const double s_ms =
           std::chrono::duration<double, std::milli>(Clock::now() - t0)
               .count();
-      if (rep == 0 || s_ms < t1_ms) {
-        t1_ms = s_ms;
-        s1_best = s1_timing;
-        s1_fp = RunFingerprint::Of(sr);
+      if (rep == 0 || s_ms < sharded_ms) {
+        sharded_ms = s_ms;
+        s_fp = RunFingerprint::Of(sr);
       }
       pair_ratios.push_back(g_ms / s_ms);
     }
-    WEBTX_CHECK(s1_fp == g_fp)
+    WEBTX_CHECK(s_fp == g_fp)
         << "sharded policy diverged from the global state at servers="
-        << servers << " shard_threads=1";
-    // The gated serial ratio is the MEDIAN of per-pair ratios: the two
-    // reps of a pair run back to back under the same host state, so
-    // their ratio cancels drift that a best-of-each quotient (whose
-    // numerator and denominator come from different moments) keeps.
+        << servers;
+    // The gated ratio is the MEDIAN of per-pair ratios: the two reps of
+    // a pair run back to back under the same host state, so their ratio
+    // cancels drift that a best-of-each quotient (whose numerator and
+    // denominator come from different moments) keeps.
     std::sort(pair_ratios.begin(), pair_ratios.end());
-    const double t1_ratio = pair_ratios[pair_ratios.size() / 2];
-    const std::string global_cfg = servers_cfg + " policy=global";
+    const double ratio = pair_ratios[pair_ratios.size() / 2];
+    const double steals =
+        static_cast<double>(sharded.AsShardedState()->steal_count());
+    rows.push_back({"ext_multi_server", servers_cfg + " policy=global",
+                    "wall_ms", global_ms, "ms"});
+    // "threads=1" keeps the row keys of the committed trajectory.
+    const std::string cfg = servers_cfg + " threads=1 policy=sharded";
+    rows.push_back({"ext_multi_server", cfg, "wall_ms", sharded_ms, "ms"});
     rows.push_back(
-        {"ext_multi_server", global_cfg, "wall_ms", global_ms, "ms"});
-    rows.push_back({"ext_multi_server", global_cfg, "policy_wait_ms",
-                    g_best.policy_wait_ms, "ms"});
-    const std::string t1_cfg = servers_cfg + " threads=1 policy=sharded";
-    rows.push_back({"ext_multi_server", t1_cfg, "wall_ms", t1_ms, "ms"});
-    rows.push_back({"ext_multi_server", t1_cfg, "sharded_vs_global",
-                    t1_ratio, "x"});
-    rows.push_back({"ext_multi_server", t1_cfg, "policy_wait_ms",
-                    s1_best.policy_wait_ms, "ms"});
-    rows.push_back({"ext_multi_server", t1_cfg, "steal_count",
-                    static_cast<double>(s1_best.steal_count), "steals"});
-
-    std::vector<double> table_row = {global_ms, t1_ms};
-    double t8_ms = 0.0;
-    ShardTiming t8_best;
-    for (const size_t threads : thread_counts) {
-      ShardTiming timing;
-      auto sim =
-          Simulator::Create(txns, ShardOptions(servers, threads, &timing));
-      WEBTX_CHECK(sim.ok()) << sim.status().ToString();
-      AsetsStarShardedPolicy policy;
-      ShardTiming best;
-      RunFingerprint fp;
-      const double ms =
-          BestRunMs(sim.ValueOrDie(), policy, &timing, &best, &fp);
-      WEBTX_CHECK(fp == g_fp)
-          << "sharded policy diverged from the global state at servers="
-          << servers << " shard_threads=" << threads;
-      const std::string cfg = servers_cfg +
-                              " threads=" + std::to_string(threads) +
-                              " policy=sharded";
-      rows.push_back({"ext_multi_server", cfg, "wall_ms", ms, "ms"});
-      rows.push_back({"ext_multi_server", cfg, "sharded_vs_global",
-                      global_ms / ms, "x"});
-      rows.push_back({"ext_multi_server", cfg, "policy_wait_ms",
-                      best.policy_wait_ms, "ms"});
-      rows.push_back({"ext_multi_server", cfg, "steal_count",
-                      static_cast<double>(best.steal_count), "steals"});
-      table_row.push_back(ms);
-      if (threads == 8) {
-        t8_ms = ms;
-        t8_best = best;
-      }
-    }
-    if (t1_ms >= kMinSpeedupMs && t8_ms >= kMinSpeedupMs) {
-      rows.push_back({"ext_multi_server", servers_cfg + " policy=sharded",
-                      "speedup_t8_vs_t1", t1_ms / t8_ms, "x"});
-    } else {
-      std::cout << "(skipping sharded speedup_t8_vs_t1 at " << servers_cfg
-                << ": wall times below the " << kMinSpeedupMs
-                << " ms floor)\n";
-    }
-    table_row.push_back(t1_ratio);
-    table_row.push_back(t8_best.policy_wait_ms);
-    table_row.push_back(static_cast<double>(t8_best.steal_count));
-    table.AddNumericRow(std::to_string(servers), table_row);
+        {"ext_multi_server", cfg, "sharded_vs_global", ratio, "x"});
+    rows.push_back({"ext_multi_server", cfg, "steal_count", steals, "steals"});
+    table.AddNumericRow(std::to_string(servers),
+                        {global_ms, sharded_ms, ratio, steals});
   }
 }
 
@@ -371,40 +263,26 @@ int main() {
   std::cout << "\nSharded event loop — wall-clock vs the frozen pre-shard "
                "reference (ASETS*,\n4000 txns at 75% per-worker load, "
                "outage+abort plan, best of "
-            << webtx::kShardReps << " reps; pregen/barrier\ncolumns are "
-               "the shard-threads=8 fault-timeline accounting):\n\n";
+            << webtx::kShardReps << " reps):\n\n";
   std::vector<webtx::bench::BenchRow> rows;
-  webtx::Table shard_table({"servers", "ref ms", "t=1 ms", "t=2 ms",
-                            "t=8 ms", "speedup t=1", "pregen ms",
-                            "barrier ms"});
+  webtx::Table shard_table({"servers", "ref ms", "sim ms", "speedup"});
   webtx::RunShardSweep(rows, shard_table);
   shard_table.Print(std::cout);
   webtx::bench::SaveCsv(shard_table, "ext_multi_server_sharded");
 
-  std::cout << "\nSharded policy state — ASETS*-sharded (per-shard ready "
-               "structures, deterministic\nwork stealing) vs the "
-               "global-state ASETS* on the production loop (the\n"
-               "threads=1 baseline and sharded runs are timed interleaved, "
-               "best of "
+  std::cout << "\nSharded policy state — ASETS*-sharded (per-server "
+               "workflow ownership,\ndeterministic steal accounting) vs "
+               "the global-state ASETS* on the production\nloop (timed "
+               "interleaved, best of "
             << webtx::kShardPairedReps
-            << " paired\nreps; every sharded cell fingerprint-checked "
-               "against the global run;\npolicy/steal columns are the "
-               "shard-threads=8 accounting):\n\n";
-  webtx::Table policy_table({"servers", "global ms", "t=1 ms", "t=2 ms",
-                             "t=8 ms", "sharded t=1", "policy ms",
-                             "steals"});
+            << " paired reps; ratio = median per-pair\nglobal/sharded; "
+               "every sharded run fingerprint-checked against the global "
+               "run):\n\n";
+  webtx::Table policy_table(
+      {"servers", "global ms", "sharded ms", "ratio", "steals"});
   webtx::RunShardedPolicySweep(rows, policy_table);
   policy_table.Print(std::cout);
   webtx::bench::SaveCsv(policy_table, "ext_multi_server_sharded_policy");
   webtx::bench::WriteBenchRows(rows);
-  std::cout
-      << "\nHost has " << std::thread::hardware_concurrency()
-      << " hardware thread(s). On a single-core host extra shard threads "
-         "cannot\nreduce wall-clock (pregeneration competes with the event "
-         "loop for the one\ncore), so the meaningful series is the sharded "
-         "loop vs the pre-shard\nreference — incremental fault heads and "
-         "epoch-stamped pick assignment do the\nwork the reference "
-         "re-scans for. Every cell above is fingerprint-checked\nagainst "
-         "the reference run: shard_threads never changes results.\n";
   return 0;
 }

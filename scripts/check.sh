@@ -25,10 +25,13 @@
 #
 # A bench-gate stage (opt-in: perf numbers are machine-relative, so it
 # only makes sense on the machine that produced the committed baseline)
-# runs the full bench/sweep_throughput grid against the Release build and
-# FAILS if any fig08 end-to-end instances_per_sec row regresses more than
-# 10% below the committed BENCH_hotpath.json. After an intentional perf
-# change, refresh the baseline by re-running the bench binaries with
+# runs the full bench/sweep_throughput, ext_huge_scale, ext_multi_server
+# and ext_twin benches against the Release build and FAILS if a gated
+# row regresses against the committed BENCH_hotpath.json: the fig08
+# end-to-end instances_per_sec rows (10%), the 10^6-txn events_per_sec
+# row (25%), the serial ASETS*-sharded vs global ratio at 4 and 8
+# servers (10%), and the twin rows. After an intentional perf change,
+# refresh the baseline by re-running the bench binaries with
 # WEBTX_BENCH_JSON unset and committing the updated JSON.
 #
 # A huge-smoke stage (opt-in) runs the 10^5-transaction open-system
@@ -149,14 +152,15 @@ bench_gate() {
   else
     echo "bench gate: ok '$hs_config': $new vs baseline $old events_per_sec"
   fi
-  # Sharded-policy rows: ASETS*-sharded at shard_threads=8 must hold its
-  # wall-clock ratio against the global-state ASETS* baseline within 10%
-  # of the committed trajectory (a drop means the steal protocol or the
-  # per-shard merge got more expensive, not machine noise — the ratio is
-  # measured within one run of the same binary).
+  # Sharded-policy rows: ASETS*-sharded (serial; the row keys keep their
+  # historical "threads=1") must hold its wall-clock ratio against the
+  # global-state ASETS* baseline within 10% of the committed trajectory
+  # (a drop means the ownership bookkeeping got more expensive, not
+  # machine noise — the ratio is the median of interleaved pairs within
+  # one run of the same binary).
   local sp_servers sp_config
   for sp_servers in 4 8; do
-    sp_config="servers=${sp_servers} threads=8 policy=sharded"
+    sp_config="servers=${sp_servers} threads=1 policy=sharded"
     old=$(bench_rate BENCH_hotpath.json ext_multi_server "$sp_config" \
           sharded_vs_global)
     new=$(bench_rate "$gate_json" ext_multi_server "$sp_config" \

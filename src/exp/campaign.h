@@ -41,6 +41,15 @@ inline constexpr double kBelowOne =
     1.0 - std::numeric_limits<double>::epsilon() / 2;
 /// Upper bound of counts that become TxnIds or server ids (uint32_t).
 inline constexpr uint64_t kMaxIds = std::numeric_limits<uint32_t>::max();
+/// Upper bound of the fault-rate keys, in events per unit of (simulated
+/// or virtual) time per server. Each rate is an event budget: an outage
+/// stream at rate r with windows of mean d multiplies a run's event
+/// count by about r^2 * d, and the live fault injector gathers every
+/// instant up to its next wake-up in one batch. At 1e3 a 5-transaction
+/// sim case runs for more than 20 s; at 2^32 a live batch exhausts
+/// memory. The campaigns draw at most 0.5, so 10 leaves a factor of 20
+/// for hand-written stress cases.
+inline constexpr double kMaxFaultRate = 10.0;
 
 /// One "key value" line of a replay file: `write` gives the value of
 /// every line it produces (a repeated field gives any number), `read`
@@ -165,11 +174,14 @@ std::vector<Field<Case>> FaultPlanFields(Plan plan, Migration migration) {
   using F = FaultPlanConfig;
   const auto fault = [plan](auto member) { return Member(plan, member); };
   return {
-      DoubleField<Case>("outage_rate", fault(&F::outage_rate), 0.0),
+      DoubleField<Case>("outage_rate", fault(&F::outage_rate), 0.0,
+                        kMaxFaultRate),
       DoubleField<Case>("mean_outage_duration", fault(&F::mean_outage_duration),
                         0.0),
-      DoubleField<Case>("abort_rate", fault(&F::abort_rate), 0.0),
-      DoubleField<Case>("crash_rate", fault(&F::crash_rate), 0.0),
+      DoubleField<Case>("abort_rate", fault(&F::abort_rate), 0.0,
+                        kMaxFaultRate),
+      DoubleField<Case>("crash_rate", fault(&F::crash_rate), 0.0,
+                        kMaxFaultRate),
       DoubleField<Case>("mean_repair_duration", fault(&F::mean_repair_duration),
                         0.0),
       NamedField<Case>("migration", migration,

@@ -130,6 +130,14 @@ Field<ChaosCase> SuppressionField(
           }};
 }
 
+// Upper bound of max_workflows_per_txn. A transaction joins up to this
+// many workflows, each a chain the generator opens and scans for it and
+// ASETS* refiles on its every event. Table I topologies use a handful
+// (the benches at most 5, the campaigns at most 2); at 9999999 a
+// 2000-transaction case runs for more than 20 s and at 2^32 generation
+// exhausts memory.
+constexpr uint64_t kMaxWorkflowsPerTxn = 64;
+
 std::vector<Field<ChaosCase>> SimFields() {
   using C = ChaosCase;
   using R = RetryOptions;
@@ -144,7 +152,7 @@ std::vector<Field<ChaosCase>> SimFields() {
        UnsignedField<C>("max_weight", w(&W::max_weight), 1),
        UnsignedField<C>("max_workflow_length", w(&W::max_workflow_length), 1),
        UnsignedField<C>("max_workflows_per_txn",
-                        w(&W::max_workflows_per_txn), 1),
+                        w(&W::max_workflows_per_txn), 1, kMaxWorkflowsPerTxn),
        DoubleField<C>("burstiness", w(&W::burstiness), 0.0, kBelowOne),
        DoubleField<C>("estimate_error", w(&W::estimate_error), 0.0, kBelowOne),
        UnsignedField<C>("num_servers", &C::num_servers, 1, kMaxIds),

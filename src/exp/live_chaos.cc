@@ -17,6 +17,21 @@ namespace webtx {
 
 namespace {
 
+// Upper bound of the live and twin time-scale keys, in virtual seconds:
+// mean interarrival gaps and task durations (and, as its reciprocal, an
+// arrival rate). The executor's clock jumps to the next arrival or
+// completion and the fault injector gathers every fault instant on the
+// way in one batch, so a gap of 2^32 s exhausts memory and a task that
+// long runs for more than 20 s. The campaigns draw gaps and durations
+// below 0.7 s; a minute leaves ample room.
+constexpr double kMaxLiveSeconds = 60.0;
+
+// Upper bound of forecast_threads, the size of the twin's forecast
+// pool. The twin runs one forecast per candidate, so threads past the
+// candidate count idle; the benches' largest grid has 16 candidates and
+// at 2^32 the pool exhausts memory.
+constexpr uint64_t kMaxForecastThreads = 64;
+
 // The executor-side keys of the live and twin dialects, in file
 // order: the fault plan, latency spikes, then the retry knobs. `k`
 // maps a member of `Knobs` (LiveChaosCase or rt::TwinOptions, which
@@ -145,8 +160,10 @@ std::vector<Field<LiveChaosCase>> LiveFields() {
   return JoinFields<C>({
       {UnsignedField<C>("workload_seed", &C::workload_seed),
        UnsignedField<C>("num_tasks", &C::num_tasks, 1, kMaxIds),
-       DoubleField<C>("mean_interarrival", &C::mean_interarrival, kPositive),
-       DoubleField<C>("mean_duration", &C::mean_duration, kPositive),
+       DoubleField<C>("mean_interarrival", &C::mean_interarrival, kPositive,
+                      kMaxLiveSeconds),
+       DoubleField<C>("mean_duration", &C::mean_duration, kPositive,
+                      kMaxLiveSeconds),
        DoubleField<C>("deadline_slack", &C::deadline_slack, 0.0),
        UnsignedField<C>("max_weight", &C::max_weight, 1),
        DoubleField<C>("dep_prob", &C::dep_prob, 0.0, 1.0),
@@ -431,13 +448,14 @@ std::vector<Field<TwinChaosCase>> TwinFields() {
                          {"flash", LiveArrivalShape::kFlashCrowd}}),
        UnsignedField<C>("workload_seed", w(&W::seed)),
        UnsignedField<C>("num_tasks", w(&W::num_tasks), 1, kMaxIds),
-       DoubleField<C>("rate", w(&W::rate), kPositive),
+       DoubleField<C>("rate", w(&W::rate), 1.0 / kMaxLiveSeconds),
        DoubleField<C>("burstiness", w(&W::burstiness), 0.0, kBelowOne),
        DoubleField<C>("on_off_mean_cycle", w(&W::on_off_mean_cycle), kPositive),
        DoubleField<C>("spike_factor", w(&W::spike_factor), 1.0),
        DoubleField<C>("spike_start", w(&W::spike_start), 0.0),
        DoubleField<C>("spike_duration", w(&W::spike_duration), 0.0),
-       DoubleField<C>("mean_duration", w(&W::mean_duration), kPositive),
+       DoubleField<C>("mean_duration", w(&W::mean_duration), kPositive,
+                      kMaxLiveSeconds),
        DoubleField<C>("deadline_slack", w(&W::deadline_slack), 0.0),
        UnsignedField<C>("max_weight", w(&W::max_weight), 1),
        CandidateField(),
@@ -456,7 +474,8 @@ std::vector<Field<TwinChaosCase>> TwinFields() {
        UnsignedField<C>("forecast_seed", t(&T::forecast_seed)),
        DoubleField<C>("snapshot_corruption", t(&T::snapshot_corruption),
                       kPositive),
-       UnsignedField<C>("forecast_threads", t(&T::forecast_threads)),
+       UnsignedField<C>("forecast_threads", t(&T::forecast_threads), 0,
+                        kMaxForecastThreads),
        BoolField<C>("prune", t(&T::prune)),
        DoubleField<C>("prune_prefix", t(&T::prune_prefix)),
        UnsignedField<C>("num_workers", t(&T::num_workers), 1, kMaxIds)},

@@ -57,9 +57,6 @@ Status RunOneInstance(const WorkloadInstance& instance,
   WEBTX_ASSIGN_OR_RETURN(auto generator,
                          WorkloadGenerator::Create(instance.spec));
   SimOptions instance_options = sim_options;
-  // Workers must not share a timing sink: ShardTiming accumulation is
-  // unsynchronized by design (single-simulator bench plumbing).
-  instance_options.timing = nullptr;
   if (instance_options.fault_plan.enabled()) {
     // Re-key the fault streams per instance so every (utilization,
     // replication) pair sees an independent timeline; the derived seed

@@ -6,25 +6,18 @@
 namespace webtx {
 
 void SingleQueuePolicy::Reset() {
-  // Back to one shard until the simulator calls BindShards (which only
-  // happens after Bind, while every queue is still empty). resize keeps
-  // queue 0's capacity, so a warm re-Bind stays allocation-free.
-  queues_.resize(1);
-  for (IndexedPriorityQueue& q : queues_) q.Clear();
+  queue_.Clear();
   num_shards_ = 1;
   steals_ = 0;
 }
 
 void SingleQueuePolicy::BindShards(uint32_t num_shards) {
-  WEBTX_DCHECK(queue_size() == 0) << "BindShards after events";
+  WEBTX_DCHECK(queue_.empty()) << "BindShards after events";
   num_shards_ = std::max(1u, num_shards);
-  queues_.resize(num_shards_);
-  for (IndexedPriorityQueue& q : queues_) q.Clear();
   steals_ = 0;
   if (num_shards_ > 1) {
     // Initial owner assignment: id % shards. Any fixed content-blind map
-    // works — picks merge over shard tops, so ownership never changes a
-    // decision, only which shard pays the heap operations.
+    // works — picks never read ownership.
     const size_t n = view().specs().size();
     owner_.resize(n);
     for (size_t id = 0; id < n; ++id) {
@@ -34,19 +27,18 @@ void SingleQueuePolicy::BindShards(uint32_t num_shards) {
 }
 
 void SingleQueuePolicy::OnReady(TxnId id, SimTime now) {
-  queues_[OwnerOf(id)].Push(id, KeyFor(id, now));
+  queue_.Push(id, KeyFor(id, now));
 }
 
 void SingleQueuePolicy::OnCompletion(TxnId id, SimTime now) {
   (void)now;
-  const bool present = queues_[OwnerOf(id)].Erase(id);
+  const bool present = queue_.Erase(id);
   WEBTX_DCHECK(present) << "completed transaction was not queued";
 }
 
 void SingleQueuePolicy::OnRemainingUpdated(TxnId id, SimTime now) {
   if (!RemainingSensitive()) return;
-  IndexedPriorityQueue& q = queues_[OwnerOf(id)];
-  if (q.Contains(id)) q.Update(id, KeyFor(id, now));
+  if (queue_.Contains(id)) queue_.Update(id, KeyFor(id, now));
 }
 
 void SingleQueuePolicy::OnPlaced(TxnId id, uint32_t server, SimTime now) {
@@ -54,76 +46,34 @@ void SingleQueuePolicy::OnPlaced(TxnId id, uint32_t server, SimTime now) {
   if (num_shards_ == 1) return;
   const uint32_t dest =
       server < num_shards_ ? server : server % num_shards_;
-  const uint32_t src = owner_[id];
-  if (src == dest) return;
-  // Deterministic steal: move the entry, key preserved — queue pop order
-  // is (key, id), so relocating an entry between shards cannot change
-  // any future merge decision.
-  IndexedPriorityQueue& from = queues_[src];
-  WEBTX_DCHECK(from.Contains(id)) << "placed transaction was not queued";
-  const double key = from.KeyOf(id);
-  from.Erase(id);
-  queues_[dest].Push(id, key);
+  if (owner_[id] == dest) return;
+  WEBTX_DCHECK(queue_.Contains(id)) << "placed transaction was not queued";
   owner_[id] = dest;
   ++steals_;
 }
 
-size_t SingleQueuePolicy::queue_size() const {
-  size_t total = 0;
-  for (const IndexedPriorityQueue& q : queues_) total += q.size();
-  return total;
-}
-
-int SingleQueuePolicy::TopShard() const {
-  int best = -1;
-  double best_key = 0.0;
-  TxnId best_id = kInvalidTxn;
-  for (size_t s = 0; s < queues_.size(); ++s) {
-    const IndexedPriorityQueue& q = queues_[s];
-    if (q.empty()) continue;
-    const double key = q.TopKey();
-    const TxnId id = q.Top();
-    if (best < 0 || key < best_key || (key == best_key && id < best_id)) {
-      best = static_cast<int>(s);
-      best_key = key;
-      best_id = id;
-    }
-  }
-  return best;
-}
-
 TxnId SingleQueuePolicy::PickNext(SimTime now) {
   (void)now;
-  if (num_shards_ == 1) {
-    // Global fast path: identical to the historical single queue.
-    return queues_[0].empty() ? kInvalidTxn : queues_[0].Top();
-  }
-  const int s = TopShard();
-  return s < 0 ? kInvalidTxn : queues_[s].Top();
+  return queue_.empty() ? kInvalidTxn : queue_.Top();
 }
 
 TxnId SingleQueuePolicy::PickNextExcluding(
     SimTime now, const std::vector<TxnId>& exclude) {
   (void)now;
-  // Park excluded tops aside, take the first admissible one, restore.
-  // The sharded walk enumerates tops in ascending (key, id) — exactly
-  // the global queue's pop order — and each parked entry restores into
-  // its owner shard with its key intact.
+  // Park excluded tops aside, take the first admissible one, restore
+  // each parked entry with its key intact.
   parked_.clear();
   TxnId found = kInvalidTxn;
-  for (;;) {
-    const int s = num_shards_ == 1 ? (queues_[0].empty() ? -1 : 0)
-                                   : TopShard();
-    if (s < 0) break;
-    const TxnId top = queues_[s].Top();
+  while (!queue_.empty()) {
+    const TxnId top = queue_.Top();
     if (std::find(exclude.begin(), exclude.end(), top) == exclude.end()) {
       found = top;
       break;
     }
-    parked_.emplace_back(top, queues_[s].TopKey());
-    queues_[s].Pop();
+    parked_.emplace_back(top, queue_.TopKey());
+    queue_.Pop();
   }
-  for (const auto& [id, key] : parked_) queues_[OwnerOf(id)].Push(id, key);
+  for (const auto& [id, key] : parked_) queue_.Push(id, key);
   return found;
 }
 
@@ -132,30 +82,13 @@ void SingleQueuePolicy::PickBatch(SimTime now, size_t k,
   (void)now;
   // In the greedy PickNextExcluding chain the slot-i exclude set is
   // exactly the i previous picks, which are exactly the i least (key,
-  // id) entries over all shards — so each call parks precisely those i
-  // entries and returns the (i+1)-least. The whole round is therefore
-  // the k least entries in merge order: identical picks, without the
-  // per-slot re-park/re-push churn that made rounds quadratic in k.
+  // id) entries — so each call parks precisely those i entries and
+  // returns the (i+1)-least. The whole round is therefore the k least
+  // entries in pop order: identical picks, read off the heap by a
+  // read-only top-k walk — no pops, no restores, no heap writes at all
+  // (sched/indexed_priority_queue.h).
   out.clear();
-  if (num_shards_ == 1) {
-    // Hot path: a read-only top-k walk of the heap — no pops, no
-    // restores, no heap writes at all (sched/indexed_priority_queue.h).
-    queues_[0].AppendTopK(k, out, frontier_);
-    return;
-  }
-  // Sharded: pop the k least across shards via the TopShard merge and
-  // restore once. (Rounds are k-bounded and shard counts small; the
-  // sharded digest battery pins this path byte for byte.)
-  parked_.clear();
-  while (out.size() < k) {
-    const int s = TopShard();
-    if (s < 0) break;
-    const TxnId top = queues_[s].Top();
-    out.push_back(top);
-    parked_.emplace_back(top, queues_[s].TopKey());
-    queues_[s].Pop();
-  }
-  for (const auto& [id, key] : parked_) queues_[OwnerOf(id)].Push(id, key);
+  queue_.AppendTopK(k, out, frontier_);
 }
 
 double FcfsPolicy::KeyFor(TxnId id, SimTime now) const {

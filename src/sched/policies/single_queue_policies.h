@@ -16,16 +16,12 @@ namespace webtx {
 /// remaining processing time are refreshed via OnRemainingUpdated.
 ///
 /// Sharded-state variant (factory spec "<name>-sharded"): EnableSharded()
-/// before Bind splits the queue into one IndexedPriorityQueue per shard
-/// (shard = server, assigned by the simulator via BindShards). A ready
-/// transaction lives in exactly one shard — initially id % num_shards,
-/// then wherever it was last dispatched (OnPlaced steals it into the
-/// placing server's shard, key preserved). Picks take the lexicographic
-/// (key, id) minimum over the shard tops, which is exactly the pop order
-/// of the single global queue, so schedules are byte-identical to the
-/// global variant (pinned by tests/sim/sharded_differential_test.cc).
-/// Without EnableSharded (or when BindShards is never called) everything
-/// routes through shard 0 — the historical single-queue behavior.
+/// before Bind adds per-shard ownership (shard = server, assigned by the
+/// simulator via BindShards) over the one queue. A ready transaction is
+/// owned by one shard — initially id % num_shards, then the server it
+/// was last dispatched to (OnPlaced counts the move as a steal). Picks
+/// never read ownership, so schedules are byte-identical to the global
+/// variant (pinned by tests/sim/sharded_differential_test.cc).
 class SingleQueuePolicy : public SchedulerPolicy,
                           public ShardedPolicyState {
  public:
@@ -52,8 +48,8 @@ class SingleQueuePolicy : public SchedulerPolicy,
   void OnPlaced(TxnId id, uint32_t server, SimTime now) override;
   uint64_t steal_count() const override { return steals_; }
 
-  /// Number of ready transactions currently queued (over all shards).
-  size_t queue_size() const;
+  /// Number of ready transactions currently queued.
+  size_t queue_size() const { return queue_.size(); }
 
  protected:
   void Reset() override;
@@ -71,18 +67,8 @@ class SingleQueuePolicy : public SchedulerPolicy,
   }
 
  private:
-  /// Shard owning transaction `id` right now.
-  uint32_t OwnerOf(TxnId id) const {
-    return num_shards_ == 1 ? 0 : owner_[id];
-  }
-
-  /// Index of the shard holding the global (key, id) minimum, or -1 when
-  /// every shard is empty.
-  int TopShard() const;
-
-  std::vector<IndexedPriorityQueue> queues_;  // one per shard; [0] only
-                                              // until BindShards
-  std::vector<uint32_t> owner_;               // TxnId -> shard (sharded only)
+  IndexedPriorityQueue queue_;
+  std::vector<uint32_t> owner_;  // TxnId -> shard (sharded only)
   uint32_t num_shards_ = 1;
   bool sharded_ = false;
   uint64_t steals_ = 0;

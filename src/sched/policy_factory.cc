@@ -5,7 +5,6 @@
 #include "common/csv.h"
 #include "sched/policies/asets.h"
 #include "sched/policies/asets_star.h"
-#include "sched/policies/asets_star_sharded.h"
 #include "sched/policies/balance_aware.h"
 #include "sched/policies/mix.h"
 #include "sched/policies/single_queue_policies.h"
@@ -27,16 +26,19 @@ std::unique_ptr<SchedulerPolicy> CreatePlain(const std::string& name) {
   return nullptr;
 }
 
-/// "<base>-sharded": the sharded-state implementation variant of `base`
-/// (see ShardedPolicyState in sched/scheduler_policy.h). Byte-identical
-/// schedules to the base policy — pinned by the sharded differential
-/// matrix — so these are NOT distinct policies and stay out of
-/// KnownPolicyNames().
+/// "<base>-sharded": `base` with per-server ownership and steal
+/// accounting (see ShardedPolicyState in sched/scheduler_policy.h).
+/// Byte-identical schedules to the base policy — pinned by the sharded
+/// differential matrix — so these are NOT distinct policies and stay
+/// out of KnownPolicyNames().
 std::unique_ptr<SchedulerPolicy> CreateSharded(const std::string& base) {
-  if (base == "ASETS*") return std::make_unique<AsetsStarShardedPolicy>();
   auto inner = CreatePlain(base);
   if (auto* sq = dynamic_cast<SingleQueuePolicy*>(inner.get())) {
     sq->EnableSharded();
+    return inner;
+  }
+  if (auto* asets_star = dynamic_cast<AsetsStarPolicy*>(inner.get())) {
+    asets_star->EnableSharded();
     return inner;
   }
   return nullptr;

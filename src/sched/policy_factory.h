@@ -20,11 +20,11 @@ namespace webtx {
 ///   "ASETS*"                      workflow-level general ASETS*
 ///   "<inner>-BA(time=<rate>)"     balance-aware wrapper, time-based
 ///   "<inner>-BA(count=<rate>)"    balance-aware wrapper, count-based
-///   "<base>-sharded"              sharded-state implementation variant
-///                                 (per-shard queues + deterministic
-///                                 work stealing; byte-identical
-///                                 schedules — supported for the
-///                                 single-queue policies and "ASETS*")
+///   "<base>-sharded"              sharded-state variant (per-server
+///                                 ownership + steal accounting;
+///                                 byte-identical schedules — supported
+///                                 for the single-queue policies and
+///                                 "ASETS*")
 ///
 /// Examples: "ASETS*-BA(time=0.005)", "ASETS-BA(count=0.05)",
 /// "SRPT-sharded", "ASETS*-sharded".

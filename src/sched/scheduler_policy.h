@@ -12,60 +12,41 @@
 
 namespace webtx {
 
-class ThreadPool;
-
-/// Optional sharded-state surface of a policy: the ready set is
-/// partitioned into per-shard priority structures (one shard per
-/// server), each pick round consults only shard-local heads, and a
-/// transaction placed on a server whose shard does not own it is
-/// STOLEN — its queue entries physically move to the placing shard,
-/// keys preserved. Because every shipped priority structure pops in a
-/// content-determined (key, id) total order, partitioning plus a
-/// lexicographic merge over shard tops is decision-identical to one
-/// global queue, so RunResult digests stay byte-identical to the
-/// global-state policies (pinned by tests/sim/sharded_differential_test.cc).
+/// Optional sharded-state surface of a policy: every ready transaction
+/// (ASETS*: every workflow) is OWNED by one shard (one shard per
+/// server), and a transaction placed on a server whose shard does not
+/// own it is STOLEN — its ownership moves to the placing shard. The
+/// ready set itself stays in the policy's one global queue: ownership is
+/// bookkeeping that never reaches a pick, so RunResult digests are
+/// byte-identical to the global-state policies (pinned by
+/// tests/sim/sharded_differential_test.cc), and steal_count() measures
+/// how often k-server rounds move work between servers.
 ///
 /// Protocol, driven by the simulator (see sim/simulator.cc):
 ///   1. `BindShards(k)` once per run, after SchedulerPolicy::Bind and
 ///      before any event; a policy whose BindShards is never called
-///      behaves exactly like its global-state twin (one shard).
-///   2. `PrepareRound(now, pool)` at the top of each multi-server
-///      scheduling round, before the first PickNextExcluding; policies
-///      with deferred per-shard maintenance (ASETS* dirty flushes) may
-///      fan it out on `pool`. Only invoked when a shard pool exists —
-///      serial runs skip the hook and policies flush lazily in PickNext.
-///   3. `OnPlaced(id, server, now)` for every transaction newly
-///      dispatched this round, in ascending server order — the same
-///      deterministic (time, shard, seq) discipline as the PR 5
-///      cross-shard crash mailbox. Crash-migration rebinds and
-///      admission-deferred re-entries need no extra hook: the victim
-///      re-enters via OnReady into its owner shard and is re-homed by
-///      the OnPlaced of its next dispatch.
-///   4. `steal_count()` is the number of cross-shard moves so far this
-///      run (bench plumbing; reset by BindShards).
+///      behaves as one shard and never steals.
+///   2. `OnPlaced(id, server, now)` for every transaction newly
+///      dispatched in a multi-server round, in ascending server order.
+///      Crash-migration rebinds and admission-deferred re-entries need
+///      no extra hook: the transaction keeps its owner until the
+///      OnPlaced of its next dispatch.
+///   3. `steal_count()` is the number of ownership moves so far this
+///      run (reset by BindShards).
 class ShardedPolicyState {
  public:
   virtual ~ShardedPolicyState() = default;
 
-  /// Partitions the policy state into `num_shards` shards (clamped to
-  /// >= 1). Must be called before any event callback; resets the steal
+  /// Assigns initial owners over `num_shards` shards (clamped to >= 1).
+  /// Must be called before any event callback; resets the steal
   /// counter.
   virtual void BindShards(uint32_t num_shards) = 0;
-
-  /// Hook for deferred per-shard maintenance at the top of a scheduling
-  /// round. Called only when the simulator has a shard pool (`pool` is
-  /// never null); results must be byte-identical to the lazy serial
-  /// flush a pool-less run performs inside PickNext.
-  virtual void PrepareRound(SimTime now, ThreadPool* pool) {
-    (void)now;
-    (void)pool;
-  }
 
   /// Transaction `id` was dispatched to `server` this round; steals it
   /// into the server's shard if another shard owns it.
   virtual void OnPlaced(TxnId id, uint32_t server, SimTime now) = 0;
 
-  /// Cross-shard moves performed since BindShards.
+  /// Ownership moves performed since BindShards.
   virtual uint64_t steal_count() const = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <memory>
 #include <string>
@@ -38,56 +37,6 @@ class PendingQueue {
   std::vector<internal::PendingEvent> heap_;
 };
 
-// One shard's view of its fault processes: either the lazy FaultStream
-// (correlated mode, or serial runs) or the buffered FaultTimeline
-// (uncorrelated runs with shard workers) — byte-identical event sources
-// by FaultTimeline's replay construction.
-struct FaultSource {
-  FaultStream* stream = nullptr;
-  FaultTimeline* timeline = nullptr;
-
-  bool down() const { return stream ? stream->down() : timeline->down(); }
-  SimTime next_transition() const {
-    return stream ? stream->next_transition() : timeline->next_transition();
-  }
-  SimTime outage_end() const {
-    return stream ? stream->outage_end() : timeline->outage_end();
-  }
-  void AdvanceTransition() {
-    if (stream) {
-      stream->AdvanceTransition();
-    } else {
-      timeline->AdvanceTransition();
-    }
-  }
-  SimTime next_abort() const {
-    return stream ? stream->next_abort() : timeline->next_abort();
-  }
-  void AdvanceAbort() {
-    if (stream) {
-      stream->AdvanceAbort();
-    } else {
-      timeline->AdvanceAbort();
-    }
-  }
-  bool crashed() const {
-    return stream ? stream->crashed() : timeline->crashed();
-  }
-  SimTime next_crash_transition() const {
-    return stream ? stream->next_crash_transition()
-                  : timeline->next_crash_transition();
-  }
-  SimTime repair_end() const {
-    return stream ? stream->repair_end() : timeline->repair_end();
-  }
-  void AdvanceCrashTransition() {
-    if (stream) {
-      stream->AdvanceCrashTransition();
-    } else {
-      timeline->AdvanceCrashTransition();
-    }
-  }
-};
 }  // namespace
 
 /// Everything Run() used to stack-allocate per call, hoisted into a
@@ -99,7 +48,6 @@ struct FaultSource {
 struct Simulator::RunScratch {
   std::vector<TxnOutcome> outcomes;
   std::vector<FaultStream> fault_streams;
-  std::vector<FaultSource> sources;
   std::vector<SimTime> fault_time;
   std::vector<internal::ShardEventClass> fault_cls;
   std::vector<char> down;
@@ -112,7 +60,6 @@ struct Simulator::RunScratch {
   std::vector<TxnId> next_running;
   std::vector<char> pick_taken;
   std::vector<std::pair<TxnId, TxnFate>> resolve_stack;
-  std::vector<internal::ShardMessage> mailbox;
   std::vector<uint64_t> pick_stamp;
   std::vector<uint64_t> placed_stamp;
   std::vector<uint32_t> pick_slot;
@@ -222,12 +169,10 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   ResetRuntimeState();
   policy.Bind(*this);
   WEBTX_CHECK_GE(options_.num_servers, 1u);
-  // Sharded-state policies partition their ready set one shard per
-  // server and get the ShardedPolicyState protocol driven below
-  // (PrepareRound before each multi-server round, OnPlaced per newly
-  // dispatched transaction in ascending server order). Results are
-  // byte-identical to global-state policies by the (key, id) pop-order
-  // argument in sched/scheduler_policy.h.
+  // Sharded-state policies track per-server ownership and get the
+  // ShardedPolicyState protocol driven below (OnPlaced per newly
+  // dispatched transaction in ascending server order). Ownership never
+  // changes a decision (sched/scheduler_policy.h).
   ShardedPolicyState* const sharded = policy.AsShardedState();
   if (sharded != nullptr) {
     sharded->BindShards(static_cast<uint32_t>(options_.num_servers));
@@ -261,53 +206,16 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   bool horizon_cut = false;
   const bool correlated =
       options_.fault_plan.config().correlated_crash_prob > 0.0;
-  // Resolve the shard-worker count. Buffered (pregenerated) fault
-  // timelines engage only on uncorrelated faulty runs with workers to
-  // hide the generation behind: a correlated crash process is mutated
-  // mid-run by ForceCrash fan-in and must stay a lazy stream. Results
-  // are byte-identical either way.
-  const size_t shard_threads = options_.shard_threads == 0
-                                   ? ThreadPool::DefaultConcurrency()
-                                   : options_.shard_threads;
-  const bool buffered = faults && !correlated && shard_threads > 1;
-  // A sharded-state policy can fan its per-shard round maintenance out
-  // on the same pool (PrepareRound); both uses are barriered inside one
-  // event, so sharing the workers is safe.
-  const bool policy_parallel = sharded != nullptr && shard_threads > 1 && k > 1;
-  ThreadPool* pool = nullptr;
-  if (buffered || policy_parallel) {
-    // One in-flight prefetch per fault process per shard is the most
-    // the timelines can keep busy.
-    const size_t pool_size = std::min(shard_threads, 3 * k);
-    if (!shard_pool_ || shard_pool_->size() != pool_size) {
-      shard_pool_ = std::make_unique<ThreadPool>(pool_size);
-    }
-    pool = shard_pool_.get();
-  }
 
-  // Each server shard consumes its fault processes through a FaultSource
-  // backed by either a lazy stream or a buffered timeline.
+  // Each server shard consumes its fault processes through its own lazy
+  // FaultStream.
   std::vector<FaultStream>& fault_streams = sc.fault_streams;
   fault_streams.clear();
-  std::vector<FaultSource>& sources = sc.sources;
-  sources.assign(k, FaultSource{});
   if (faults) {
-    if (buffered) {
-      if (timelines_.size() < k) timelines_.resize(k);
-      for (size_t s = 0; s < k; ++s) {
-        timelines_[s].Begin(options_.fault_plan.config(),
-                            static_cast<uint32_t>(s), pool);
-        sources[s].timeline = &timelines_[s];
-      }
-    } else {
-      fault_streams.reserve(k);
-      for (size_t s = 0; s < k; ++s) {
-        fault_streams.push_back(
-            options_.fault_plan.StreamFor(static_cast<uint32_t>(s)));
-      }
-      for (size_t s = 0; s < k; ++s) {
-        sources[s].stream = &fault_streams[s];
-      }
+    fault_streams.reserve(k);
+    for (size_t s = 0; s < k; ++s) {
+      fault_streams.push_back(
+          options_.fault_plan.StreamFor(static_cast<uint32_t>(s)));
     }
   }
 
@@ -321,7 +229,7 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   std::vector<internal::ShardEventClass>& fault_cls = sc.fault_cls;
   fault_cls.assign(k, internal::ShardEventClass::kOutage);
   const auto refresh_fault_head = [&](size_t s) {
-    const FaultSource& src = sources[s];
+    const FaultStream& src = fault_streams[s];
     SimTime t = src.next_transition();
     internal::ShardEventClass cls = internal::ShardEventClass::kOutage;
     const SimTime tc = src.next_crash_transition();
@@ -345,7 +253,7 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   std::vector<char>& down = sc.down;
   down.assign(k, 0);
   const auto sync_down = [&](size_t s) {
-    const char d = sources[s].down() ? 1 : 0;
+    const char d = fault_streams[s].down() ? 1 : 0;
     if (d != down[s]) {
       down[s] = d;
       if (d) {
@@ -392,13 +300,6 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   std::vector<std::pair<TxnId, TxnFate>>& resolve_stack = sc.resolve_stack;
   resolve_stack.clear();
   resolve_stack.reserve(n);
-  // Cross-shard mailbox: the handoffs of one crash instant (the
-  // crashing shard's own migration back into the global ready set, then
-  // correlated victims), drained in MessageBefore (time, origin, seq)
-  // order — by construction the enqueue order, DCHECKed at drain.
-  std::vector<internal::ShardMessage>& mailbox = sc.mailbox;
-  mailbox.clear();
-  mailbox.reserve(k);
   // Epoch-stamped pick-assignment lookup: a stamp equal to the current
   // scheduling round marks "picked this round" / "placed this round"
   // without any clearing between rounds. Replaces the pre-shard O(k^2)
@@ -413,11 +314,6 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   pick_slot.assign(n, 0);
   SimTime now = 0.0;
   size_t scheduling_points = 0;
-  // Wall-clock attribution of the scheduling rounds (policy consultation
-  // + pick assignment) — bench plumbing, only sampled when a timing sink
-  // is configured, never affects results.
-  const bool time_policy = options_.timing != nullptr;
-  double policy_wait_ms = 0.0;
   size_t preemptions = 0;
   size_t idle_decisions = 0;
   size_t retries = 0;
@@ -640,7 +536,7 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
       }
       case internal::ShardEventClass::kOutage: {
         const size_t os = best.shard;
-        FaultSource& src = sources[os];
+        FaultStream& src = fault_streams[os];
         if (!src.down()) {
           // Outage begins: preempt the victim (work retained — it stays
           // ready and may be re-placed on another server immediately).
@@ -663,56 +559,35 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
       }
       case internal::ShardEventClass::kCrash: {
         const size_t cs = best.shard;
-        FaultSource& src = sources[cs];
+        FaultStream& src = fault_streams[cs];
         if (!src.crashed()) {
           // Natural crash instant: fell the shard for its pre-drawn
-          // repair window, then route this instant's handoffs through
-          // the mailbox — the shard's own migration back into the
-          // global ready set first, then (correlated mode) victims on
-          // other shards in ascending order; a hit on an
-          // already-crashed shard extends its repair window, recorded
-          // as its own window so the union stays the exact downtime.
-          // Enqueue then drain keeps the sequence identical to the
-          // pre-shard handling of a crash instant.
+          // repair window and migrate its own running transaction back
+          // into the global ready set; then (correlated mode) fell each
+          // other shard the origin's stream draws, in ascending order. A
+          // hit on an already-crashed shard extends its repair window,
+          // recorded as its own window so the union stays the exact
+          // downtime. The victim draws use only the origin stream's RNG
+          // and neither migrate nor ForceCrash draws, so interleaving
+          // each draw with its effects keeps the pre-shard sequence.
           const SimTime repaired = src.repair_end();
           src.AdvanceCrashTransition();
           crashes.push_back(
               OutageWindow{static_cast<uint32_t>(cs), now, repaired});
           total_repair_time += repaired - now;
-          mailbox.clear();
-          uint32_t seq = 0;
-          mailbox.push_back(internal::ShardMessage{
-              now, static_cast<uint32_t>(cs), seq++,
-              internal::ShardMessage::Kind::kMigrate,
-              static_cast<uint32_t>(cs), 0.0});
+          migrate(cs, now);
           if (correlated) {
             for (size_t s = 0; s < k; ++s) {
               if (s == cs) continue;
               SimTime repair_duration = 0.0;
-              if (!src.stream->DrawCorrelatedVictim(&repair_duration)) {
-                continue;
-              }
-              mailbox.push_back(internal::ShardMessage{
-                  now, static_cast<uint32_t>(cs), seq++,
-                  internal::ShardMessage::Kind::kForceCrash,
-                  static_cast<uint32_t>(s), repair_duration});
-            }
-          }
-          for (size_t m = 0; m < mailbox.size(); ++m) {
-            const internal::ShardMessage& msg = mailbox[m];
-            WEBTX_DCHECK(m == 0 ||
-                         internal::MessageBefore(mailbox[m - 1], msg));
-            if (msg.kind == internal::ShardMessage::Kind::kMigrate) {
-              migrate(msg.victim, msg.time);
-            } else {
-              crashes.push_back(OutageWindow{
-                  msg.victim, msg.time, msg.time + msg.repair_duration});
-              total_repair_time += msg.repair_duration;
-              migrate(msg.victim, msg.time);
-              sources[msg.victim].stream->ForceCrash(msg.time,
-                                                     msg.repair_duration);
-              refresh_fault_head(msg.victim);
-              sync_down(msg.victim);
+              if (!src.DrawCorrelatedVictim(&repair_duration)) continue;
+              crashes.push_back(OutageWindow{static_cast<uint32_t>(s), now,
+                                             now + repair_duration});
+              total_repair_time += repair_duration;
+              migrate(s, now);
+              fault_streams[s].ForceCrash(now, repair_duration);
+              refresh_fault_head(s);
+              sync_down(s);
             }
           }
         } else {
@@ -726,9 +601,8 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
       }
       case internal::ShardEventClass::kAbort: {
         const size_t aborting_server = best.shard;
-        sources[aborting_server].AdvanceAbort();  // always consume: the
-                                                  // timeline stays
-                                                  // policy-independent
+        // Always consume: the timeline stays policy-independent.
+        fault_streams[aborting_server].AdvanceAbort();
         refresh_fault_head(aborting_server);
         const TxnId victim = running[aborting_server];
         if (victim == kInvalidTxn) break;  // idle/down server: no-op
@@ -807,8 +681,6 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
     // servers are (re)filled greedily; the policy sees the transactions
     // already placed this round as excluded. Down servers take no work.
     ++scheduling_points;
-    std::chrono::steady_clock::time_point round_start;
-    if (time_policy) round_start = std::chrono::steady_clock::now();
 
     // Single-server fast path: one pick, no assignment matching. The
     // documented PickNextExcluding contract (empty exclude == PickNext)
@@ -839,19 +711,8 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
         }
         running[0] = pick;
       }
-      if (time_policy) {
-        policy_wait_ms += std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - round_start)
-                              .count();
-      }
       continue;
     }
-
-    // Deferred per-shard maintenance (e.g. the ASETS* dirty flush), fanned
-    // out on the shard pool. Without a pool every policy flushes lazily
-    // inside the first pick instead, so the hook is skipped entirely — it
-    // would be a per-round no-op virtual call on the serial path.
-    if (pool != nullptr && sharded != nullptr) sharded->PrepareRound(now, pool);
 
     const size_t k_up = faults ? num_up_ : k;
     // One batched round in place of the greedy per-slot chain; the
@@ -936,35 +797,13 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
           segment_start[s] = dispatch_time[s];
           // Steal/handoff point of the sharded-state protocol: newly
           // dispatched transactions are announced in ascending server
-          // order — the same deterministic (time, shard, seq) discipline
-          // as the crash mailbox — so cross-shard moves replay
-          // identically run to run.
+          // order, so ownership moves replay identically run to run.
           if (sharded != nullptr) {
             sharded->OnPlaced(next_running[s], static_cast<uint32_t>(s), now);
           }
         }
       }
       running[s] = next_running[s];
-    }
-    if (time_policy) {
-      policy_wait_ms += std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - round_start)
-                            .count();
-    }
-  }
-
-  // Settle the buffered timelines before returning: no worker may
-  // outlive the run that owns its buffers. This also flushes the run's
-  // wall-clock accounting into options_.timing when set.
-  if (buffered) {
-    for (size_t s = 0; s < k; ++s) {
-      timelines_[s].Finish(options_.timing);
-    }
-  }
-  if (options_.timing != nullptr) {
-    options_.timing->policy_wait_ms += policy_wait_ms;
-    if (sharded != nullptr) {
-      options_.timing->steal_count += sharded->steal_count();
     }
   }
 

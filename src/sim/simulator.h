@@ -7,12 +7,10 @@
 
 #include "common/result.h"
 #include "common/sim_time.h"
-#include "common/thread_pool.h"
 #include "sched/admission.h"
 #include "sched/scheduler_policy.h"
 #include "sched/sim_view.h"
 #include "sim/fault_plan.h"
-#include "sim/fault_timeline.h"
 #include "sim/metrics.h"
 #include "sim/sim_workload.h"
 #include "txn/dependency_graph.h"
@@ -82,31 +80,6 @@ constexpr bool EventBefore(const ShardEvent& a, const ShardEvent& b) {
   return a.shard < b.shard;
 }
 
-/// A message in the cross-shard mailbox: work a crashing shard hands to
-/// another shard at one instant — migrating its own running transaction
-/// back into the global ready set, or felling a correlated victim. The
-/// mailbox is drained in MessageBefore order, which (all messages of one
-/// crash instant sharing `time` and `origin`) is exactly the enqueue
-/// sequence: the origin's own migration first, then correlated victims
-/// in ascending server order — replicating the pre-shard handling of a
-/// crash instant byte for byte.
-struct ShardMessage {
-  SimTime time = 0.0;
-  uint32_t origin = 0;  // the crashing shard
-  uint32_t seq = 0;     // enqueue ordinal within the instant
-  enum class Kind : uint8_t { kMigrate = 0, kForceCrash = 1 } kind =
-      Kind::kMigrate;
-  uint32_t victim = 0;            // shard acted upon
-  SimTime repair_duration = 0.0;  // kForceCrash only
-};
-
-/// Strict drain order over mailbox messages.
-constexpr bool MessageBefore(const ShardMessage& a, const ShardMessage& b) {
-  if (a.time != b.time) return a.time < b.time;
-  if (a.origin != b.origin) return a.origin < b.origin;
-  return a.seq < b.seq;
-}
-
 }  // namespace internal
 
 /// Simulator knobs. The defaults model the paper's testbed: a single
@@ -139,25 +112,6 @@ struct SimOptions {
   /// scheduling policy learns of the transaction; null admits everything.
   /// A fresh controller is constructed per Run.
   AdmissionFactory admission;
-  /// Worker threads for per-shard background work: double-buffered
-  /// fault-timeline pregeneration (sim/fault_timeline.h) and, for
-  /// sharded-state policies (ShardedPolicyState), the fanned-out
-  /// per-shard round maintenance in PrepareRound. 1 = fully serial, 0 =
-  /// hardware concurrency. Pregeneration engages only when the fault
-  /// plan is enabled and uncorrelated (a correlated crash process is
-  /// mutated mid-run and cannot be pregenerated); the policy fan-out
-  /// engages only for multi-server runs of a sharded-state policy. MUST
-  /// NOT affect results: every run is byte-identical across
-  /// shard_threads values — pinned by
-  /// tests/sim/sharded_differential_test.cc against the frozen pre-shard
-  /// simulator in tests/testing/reference_simulator.h.
-  size_t shard_threads = 1;
-  /// Optional wall-clock accounting sink for the sharded loop's
-  /// background work (accumulated across shards and runs; bench plumbing,
-  /// never affects results). The pointee must outlive every Run; leave
-  /// null in parallel sweeps — RunInstances nulls it in its per-worker
-  /// option copies.
-  ShardTiming* timing = nullptr;
   /// Simulated-time cutoff (0 = run to completion, the default). When
   /// > 0, Run stops before processing the first event past this instant
   /// and aggregates via RunResult::FromPrefixOutcomes: transactions
@@ -369,15 +323,7 @@ class Simulator final : public SimView {
   std::vector<size_t> ready_pos_;  // TxnId -> index in ready_list_
   size_t num_up_ = 1;  // servers outside outage/crash windows (this run)
 
-  // Sharded event-loop state: per-shard buffered fault timelines and the
-  // pool that prefetches their chunks (lazily built on the first Run
-  // that wants one, reused across runs). Engaged only when shard_threads
-  // resolves to > 1 on an uncorrelated faulty run; both are inert
-  // otherwise and never influence results.
-  std::vector<FaultTimeline> timelines_;
-  std::unique_ptr<ThreadPool> shard_pool_;
-
-  /// Per-run scratch (outcomes, fault sources, pending queue, the
+  /// Per-run scratch (outcomes, fault streams, pending queue, the
   /// scheduling round's pick/assignment buffers), lazily built on the
   /// first Run and warm-reused after — the steady-state event loop
   /// allocates nothing. Defined in simulator.cc.

@@ -169,9 +169,11 @@ TEST(TwinReplayIntegrationTest, ParallelForecastReplayPinsItsDigest) {
 }
 
 // One-key edits that once tripped a library CHECK, wrapped a '-1' to
-// 2^64-1, or named more ids than a uint32_t holds — and two that were
+// 2^64-1, or named more ids than a uint32_t holds — two that were
 // silently wrong (a truncated retry budget, weights drawn from the
-// whole 64-bit range).
+// whole 64-bit range) — and values that fit their types but exhausted
+// memory (std::bad_alloc under a 4 GB cap) or ran a case for more than
+// 20 s.
 struct HostileEdit {
   const char* file;
   const char* key;
@@ -179,6 +181,7 @@ struct HostileEdit {
 };
 
 constexpr char kSim[] = "cold_migration_minimal.chaos";
+constexpr char kHuge[] = "huge_structures_cold_migration.chaos";
 constexpr char kLive[] = "live_cold_migration_minimal.chaos";
 constexpr char kTwin[] = "twin_flash_guard_minimal.chaos";
 
@@ -191,6 +194,12 @@ const HostileEdit kHostileEdits[] = {
     {kSim, "max_workflows_per_txn", "-1"},
     {kSim, "retry_max_attempts", "4294967297"},
     {kSim, "workload_seed", "18446744073709551616"},
+    {kSim, "max_workflows_per_txn", "4294967297"},
+    {kSim, "max_workflows_per_txn", "9999999"},
+    {kSim, "outage_rate", "1000"},
+    {kHuge, "max_workflows_per_txn", "4294967297"},
+    {kHuge, "max_workflows_per_txn", "9999999"},
+    {kHuge, "outage_rate", "1000"},
     {kLive, "num_tasks", "-1"},
     {kLive, "num_tasks", "4294967297"},
     {kLive, "num_workers", "-1"},
@@ -202,6 +211,10 @@ const HostileEdit kHostileEdits[] = {
     {kLive, "retry_max_attempts", "4294967297"},
     {kLive, "retry_max_backoff", "-1"},
     {kLive, "watchdog_stall_seconds", "-1"},
+    {kLive, "mean_interarrival", "4294967297"},
+    {kLive, "mean_duration", "4294967297"},
+    {kLive, "abort_rate", "4294967297"},
+    {kLive, "crash_rate", "1000"},
     {kTwin, "num_tasks", "-1"},
     {kTwin, "num_tasks", "4294967297"},
     {kTwin, "num_workers", "-1"},
@@ -218,6 +231,10 @@ const HostileEdit kHostileEdits[] = {
     {kTwin, "spike_factor", "-1"},
     {kTwin, "spike_start", "-1"},
     {kTwin, "spike_duration", "-1"},
+    {kTwin, "abort_rate", "4294967297"},
+    {kTwin, "forecast_threads", "4294967297"},
+    {kTwin, "rate", "2.3e-10"},
+    {kTwin, "mean_duration", "4294967297"},
 };
 
 // Edits whose value is in range alone but that the runner rejects with

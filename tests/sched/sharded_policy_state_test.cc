@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "sched/policies/asets_star.h"
-#include "sched/policies/asets_star_sharded.h"
 #include "sched/policies/single_queue_policies.h"
 #include "sched/policy_factory.h"
 #include "testing/fake_view.h"
@@ -91,7 +90,7 @@ TEST(ShardedPolicyStateTest, SingleQueuePickParityAcrossSteals) {
   }
 
   // Steal the top pick into a shard that does not own it; the pick order
-  // must not change (keys are preserved by the move).
+  // must not change (picks never read ownership).
   const TxnId top = global.PickNext(0.0);
   ASSERT_NE(top, kInvalidTxn);
   const uint64_t before = state->steal_count();
@@ -123,7 +122,7 @@ TEST(ShardedPolicyStateTest, BindShardsClampsToOne) {
   sharded.Bind(view);
   sharded.AsShardedState()->BindShards(0);
   for (const TxnId id : view.ready_transactions()) sharded.OnReady(id, 0.0);
-  // Everything routes through shard 0; placements never steal.
+  // One shard owns everything; placements never steal.
   sharded.AsShardedState()->OnPlaced(sharded.PickNext(0.0), 7, 0.0);
   EXPECT_EQ(sharded.AsShardedState()->steal_count(), 0u);
 }
@@ -146,7 +145,8 @@ TEST(ShardedPolicyStateTest, AsetsStarPickParityAcrossSteals) {
 
   AsetsStarPolicy global;
   global.Bind(view);
-  AsetsStarShardedPolicy sharded;
+  AsetsStarPolicy sharded;
+  sharded.EnableSharded();
   sharded.Bind(view);
   ShardedPolicyState* state = sharded.AsShardedState();
   ASSERT_NE(state, nullptr);

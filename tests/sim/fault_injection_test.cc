@@ -178,7 +178,7 @@ TEST(FaultInjectionTest, BackoffSuspendsTheVictimBetweenAttempts) {
   EXPECT_GT(r.outcomes[0].finish, 2.0 + 4.0);
 }
 
-TEST(FaultInjectionTest, FaultTimelineIsPolicyIndependent) {
+TEST(FaultInjectionTest, OutageWindowsArePolicyIndependent) {
   SimOptions options;
   options.fault_plan = MakePlan(0.05, 4.0, 0.1);
   auto sim = Simulator::Create(

@@ -3,9 +3,9 @@
 // construction: a completion on one shard colliding with a fault
 // transition on another, a crash's migration handoff colliding with a
 // fresh arrival, and one correlated crash instant felling several
-// shards. Covers both the internal comparators (internal::EventBefore,
-// internal::MessageBefore) and the whole loop, and pins each scenario
-// to the pre-shard reference digest.
+// shards. Covers both the internal comparator (internal::EventBefore)
+// and the whole loop, and pins each scenario to the pre-shard reference
+// digest.
 
 #include <algorithm>
 #include <string>
@@ -26,13 +26,11 @@ namespace {
 using testing::Txn;
 
 // ---------------------------------------------------------------------------
-// The comparators themselves.
+// The comparator itself.
 
 using internal::EventBefore;
-using internal::MessageBefore;
 using internal::ShardEvent;
 using internal::ShardEventClass;
-using internal::ShardMessage;
 
 TEST(ShardEventBeforeTest, TimeDominatesClassAndShard) {
   const ShardEvent early{1.0, ShardEventClass::kArrival, 9};
@@ -81,21 +79,6 @@ TEST(ShardEventBeforeTest, SortRecoversContractOrder) {
   EXPECT_EQ(events[2].shard, 2u);
   EXPECT_EQ(events[3].cls, ShardEventClass::kArrival);
   EXPECT_EQ(events[4].time, 2.0);
-}
-
-TEST(ShardMessageBeforeTest, TimeThenOriginThenSeq) {
-  const ShardMessage early{1.0, 5, 9, ShardMessage::Kind::kForceCrash, 0, 1.0};
-  const ShardMessage low_origin{2.0, 0, 1, ShardMessage::Kind::kMigrate, 0,
-                                0.0};
-  const ShardMessage high_origin{2.0, 3, 0, ShardMessage::Kind::kMigrate, 3,
-                                 0.0};
-  const ShardMessage later_seq{2.0, 3, 2, ShardMessage::Kind::kForceCrash, 1,
-                               4.0};
-  EXPECT_TRUE(MessageBefore(early, low_origin));
-  EXPECT_TRUE(MessageBefore(low_origin, high_origin));
-  EXPECT_TRUE(MessageBefore(high_origin, later_seq));
-  EXPECT_FALSE(MessageBefore(later_seq, high_origin));
-  EXPECT_FALSE(MessageBefore(early, early));  // strict order
 }
 
 // ---------------------------------------------------------------------------
@@ -312,10 +295,10 @@ TEST(ShardEventOrderTest, ColdMigrationHandoffBeforeFreshArrivalAtEqualTime) {
 
 TEST(ShardEventOrderTest, CorrelatedCrashFellsVictimShardsInAscendingOrder) {
   // correlated_crash_prob = 1: the first natural crash instant fells
-  // every other shard at the same double. The mailbox drains the
-  // origin's own migration first, then victims ascending, so the
-  // recorded windows are (origin, victim_low, victim_high) all sharing
-  // the start instant.
+  // every other shard at the same double. The crash handler migrates
+  // the origin's own transaction first, then fells the victims
+  // ascending, so the recorded windows are (origin, victim_low,
+  // victim_high) all sharing the start instant.
   FaultPlanConfig config;
   config.crash_rate = 0.04;
   config.mean_repair_duration = 4.0;

@@ -1,10 +1,10 @@
 // Differential matrix pinning the sharded simulator to the frozen
 // pre-shard implementation (tests/testing/reference_simulator.h): for
-// every (policy, topology, fault regime, num_servers, shard_threads)
-// combination the ScheduleDigest — schedule segments, outcomes, and all
-// counters — must be byte-identical. This is the tentpole guarantee of
-// the shard refactor: sharding is a pure reorganization of the event
-// loop, never observable in results.
+// every (policy, topology, fault regime, num_servers) combination the
+// ScheduleDigest — schedule segments, outcomes, and all counters — must
+// be byte-identical. This is the tentpole guarantee of the shard
+// refactor: sharding is a pure reorganization of the event loop, never
+// observable in results.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,7 +23,6 @@ namespace webtx {
 namespace {
 
 constexpr size_t kServers[] = {1, 2, 4, 8};
-constexpr size_t kShardThreads[] = {1, 2, 8};
 
 std::vector<TransactionSpec> MakeWorkload(bool workflows, uint64_t seed) {
   WorkloadSpec spec;
@@ -102,9 +101,7 @@ uint64_t ReferenceDigest(const std::vector<TransactionSpec>& txns,
 }
 
 RunResult RunSharded(const std::vector<TransactionSpec>& txns,
-                     SimOptions options, const std::string& spec,
-                     size_t shard_threads) {
-  options.shard_threads = shard_threads;
+                     const SimOptions& options, const std::string& spec) {
   auto sim = Simulator::Create(txns, options);
   EXPECT_TRUE(sim.ok()) << sim.status();
   auto policy = CreatePolicy(spec);
@@ -120,14 +117,11 @@ void RunMatrix(Regime regime) {
           MakeWorkload(workflows, 7u + servers + (workflows ? 100u : 0u));
       const SimOptions options = RegimeOptions(regime, servers);
       for (const std::string& spec : specs) {
-        const uint64_t want = ReferenceDigest(txns, options, spec);
-        for (const size_t threads : kShardThreads) {
-          const RunResult got = RunSharded(txns, options, spec, threads);
-          EXPECT_EQ(ScheduleDigest(got), want)
-              << "sharded simulator diverged from the pre-shard reference: "
-              << "policy=" << spec << " workflows=" << workflows
-              << " servers=" << servers << " shard_threads=" << threads;
-        }
+        const RunResult got = RunSharded(txns, options, spec);
+        EXPECT_EQ(ScheduleDigest(got), ReferenceDigest(txns, options, spec))
+            << "sharded simulator diverged from the pre-shard reference: "
+            << "policy=" << spec << " workflows=" << workflows
+            << " servers=" << servers;
       }
     }
   }
@@ -156,33 +150,31 @@ TEST(ShardedDifferentialTest, CountersMatchReference) {
   auto ref_policy = CreatePolicy("ASETS*");
   ASSERT_TRUE(ref_policy.ok()) << ref_policy.status();
   const RunResult want = ref_sim.ValueOrDie().Run(*ref_policy.ValueOrDie());
-  for (const size_t threads : kShardThreads) {
-    const RunResult got = RunSharded(txns, options, "ASETS*", threads);
-    EXPECT_EQ(got.num_scheduling_points, want.num_scheduling_points);
-    EXPECT_EQ(got.num_preemptions, want.num_preemptions);
-    EXPECT_EQ(got.num_idle_decisions, want.num_idle_decisions);
-    EXPECT_EQ(got.num_outages, want.num_outages);
-    EXPECT_EQ(got.num_outage_preemptions, want.num_outage_preemptions);
-    EXPECT_EQ(got.num_crashes, want.num_crashes);
-    EXPECT_EQ(got.num_migrations, want.num_migrations);
-    EXPECT_EQ(got.num_retries, want.num_retries);
-    EXPECT_EQ(got.total_outage_time, want.total_outage_time);
-    EXPECT_EQ(got.total_repair_time, want.total_repair_time);
-    EXPECT_EQ(got.avg_tardiness, want.avg_tardiness);
-    EXPECT_EQ(got.makespan, want.makespan);
-    EXPECT_EQ(got.schedule.size(), want.schedule.size());
-  }
+  const RunResult got = RunSharded(txns, options, "ASETS*");
+  EXPECT_EQ(got.num_scheduling_points, want.num_scheduling_points);
+  EXPECT_EQ(got.num_preemptions, want.num_preemptions);
+  EXPECT_EQ(got.num_idle_decisions, want.num_idle_decisions);
+  EXPECT_EQ(got.num_outages, want.num_outages);
+  EXPECT_EQ(got.num_outage_preemptions, want.num_outage_preemptions);
+  EXPECT_EQ(got.num_crashes, want.num_crashes);
+  EXPECT_EQ(got.num_migrations, want.num_migrations);
+  EXPECT_EQ(got.num_retries, want.num_retries);
+  EXPECT_EQ(got.total_outage_time, want.total_outage_time);
+  EXPECT_EQ(got.total_repair_time, want.total_repair_time);
+  EXPECT_EQ(got.avg_tardiness, want.avg_tardiness);
+  EXPECT_EQ(got.makespan, want.makespan);
+  EXPECT_EQ(got.schedule.size(), want.schedule.size());
 }
 
 // --- Sharded policy state: the steal-protocol differential matrix ---
 //
-// "<base>-sharded" partitions the POLICY's ready set per shard with
-// deterministic work stealing (sched/scheduler_policy.h). The matrix
-// pins every sharded-state variant byte-identical to its global-state
-// base run on the frozen pre-shard reference, under steal-heavy
-// workloads: deep ready sets (utilization >> 1) with workflow chains,
-// so every multi-server round shuffles pick ranks across servers and
-// OnPlaced constantly re-homes entries between shards.
+// "<base>-sharded" adds per-server ownership with deterministic steal
+// accounting to the POLICY (sched/scheduler_policy.h). The matrix pins
+// every sharded-state variant byte-identical to its global-state base
+// run on the frozen pre-shard reference, under steal-heavy workloads:
+// deep ready sets (utilization >> 1) with workflow chains, so every
+// multi-server round shuffles pick ranks across servers and OnPlaced
+// constantly re-homes ownership between shards.
 
 constexpr const char* kShardedBases[] = {"FCFS", "EDF", "SRPT",  "LS",
                                          "HDF",  "HVF", "ASETS*"};
@@ -207,15 +199,11 @@ void RunStealMatrix(Regime regime) {
         MakeStealHeavyWorkload(29u + servers);
     const SimOptions options = RegimeOptions(regime, servers);
     for (const char* base : kShardedBases) {
-      const uint64_t want = ReferenceDigest(txns, options, base);
-      for (const size_t threads : kShardThreads) {
-        const RunResult got =
-            RunSharded(txns, options, std::string(base) + "-sharded", threads);
-        EXPECT_EQ(ScheduleDigest(got), want)
-            << "sharded policy state diverged from the global-state base: "
-            << "policy=" << base << "-sharded servers=" << servers
-            << " shard_threads=" << threads;
-      }
+      const RunResult got =
+          RunSharded(txns, options, std::string(base) + "-sharded");
+      EXPECT_EQ(ScheduleDigest(got), ReferenceDigest(txns, options, base))
+          << "sharded policy state diverged from the global-state base: "
+          << "policy=" << base << "-sharded servers=" << servers;
     }
   }
 }
@@ -237,60 +225,64 @@ TEST(ShardedPolicyDifferentialTest, StealMatrixCorrelatedCrashes) {
 }
 
 // The steal protocol must actually engage on contended multi-server
-// runs (a matrix that never steals proves nothing), and its accounting
-// must land in ShardTiming — with the global-state twin reporting zero.
+// runs (a matrix that never steals proves nothing), with the
+// global-state twin exposing no sharded state at all.
 TEST(ShardedPolicyDifferentialTest, StealProtocolEngagesAndIsAccounted) {
   const std::vector<TransactionSpec> txns = MakeStealHeavyWorkload(5);
+  const SimOptions options = RegimeOptions(Regime::kCrashy, 4);
   for (const char* spec : {"SRPT-sharded", "ASETS*-sharded"}) {
-    SimOptions options = RegimeOptions(Regime::kCrashy, 4);
-    ShardTiming timing;
-    options.timing = &timing;
-    RunSharded(txns, options, spec, 1);
-    EXPECT_GT(timing.steal_count, 0u)
+    auto sim = Simulator::Create(txns, options);
+    ASSERT_TRUE(sim.ok()) << sim.status();
+    auto policy = CreatePolicy(spec);
+    ASSERT_TRUE(policy.ok()) << policy.status();
+    sim.ValueOrDie().Run(*policy.ValueOrDie());
+    ShardedPolicyState* state = policy.ValueOrDie()->AsShardedState();
+    ASSERT_NE(state, nullptr) << spec;
+    EXPECT_GT(state->steal_count(), 0u)
         << spec << " never stole on a contended 4-server run";
-    EXPECT_GT(timing.policy_wait_ms, 0.0);
   }
-  SimOptions options = RegimeOptions(Regime::kCrashy, 4);
-  ShardTiming timing;
-  options.timing = &timing;
-  RunSharded(txns, options, "SRPT", 1);
-  EXPECT_EQ(timing.steal_count, 0u);
+  auto global = CreatePolicy("SRPT");
+  ASSERT_TRUE(global.ok()) << global.status();
+  EXPECT_EQ(global.ValueOrDie()->AsShardedState(), nullptr);
 }
 
-// A fault process denser than FaultTimeline::kChunkEvents forces
-// multiple chunk barriers (and, with shard workers, prefetch handoffs);
-// the digest must still match the lazy-stream reference exactly.
-TEST(ShardedDifferentialTest, MultiChunkTimelineMatchesReference) {
-  WorkloadSpec spec;
-  spec.num_transactions = 40;
-  spec.utilization = 0.5;
-  auto generator = WorkloadGenerator::Create(spec);
-  ASSERT_TRUE(generator.ok()) << generator.status();
-  const std::vector<TransactionSpec> txns =
-      generator.ValueOrDie().Generate(11);
-
-  SimOptions options;
-  options.num_servers = 2;
-  options.record_outcomes = true;
-  options.record_schedule = true;
-  FaultPlanConfig fault;
-  fault.seed = 77;
-  fault.abort_rate = 1.0;  // hundreds of instants: several chunks
-  fault.outage_rate = 0.01;
-  fault.mean_outage_duration = 2.0;
-  options.retry.max_attempts = 4;
-  auto plan = FaultPlan::Create(fault);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  options.fault_plan = plan.ValueOrDie();
-
-  const uint64_t want = ReferenceDigest(txns, options, "EDF");
-  ShardTiming timing;
-  options.timing = &timing;
-  const RunResult got = RunSharded(txns, options, "EDF", 8);
-  EXPECT_EQ(ScheduleDigest(got), want);
-  // The dense abort process must actually have crossed chunk barriers,
-  // or this test is not testing the buffered path.
-  EXPECT_GT(timing.chunks, 3u);
+// Exact steal counts on the steal-heavy workload: ownership moves are a
+// pure function of the placement sequence, so any drift means OnPlaced
+// or the placement order changed. Each cell also reuses one simulator
+// and one policy object across runs (Bind and BindShards reset all
+// per-run state), and every warm run must replay the first byte for
+// byte.
+TEST(ShardedPolicyDifferentialTest, StealCountsArePinned) {
+  struct Pin {
+    const char* spec;
+    size_t servers;
+    uint64_t steals;
+  };
+  const Pin kPins[] = {
+      {"SRPT-sharded", 2, 64},    {"SRPT-sharded", 4, 145},
+      {"SRPT-sharded", 8, 174},   {"ASETS*-sharded", 2, 81},
+      {"ASETS*-sharded", 4, 176}, {"ASETS*-sharded", 8, 168},
+  };
+  for (const Pin& pin : kPins) {
+    const std::vector<TransactionSpec> txns =
+        MakeStealHeavyWorkload(29u + pin.servers);
+    auto sim =
+        Simulator::Create(txns, RegimeOptions(Regime::kCrashy, pin.servers));
+    ASSERT_TRUE(sim.ok()) << sim.status();
+    auto policy = CreatePolicy(pin.spec);
+    ASSERT_TRUE(policy.ok()) << policy.status();
+    uint64_t first = 0;
+    for (int run = 1; run <= 3; ++run) {
+      const uint64_t digest =
+          ScheduleDigest(sim.ValueOrDie().Run(*policy.ValueOrDie()));
+      if (run == 1) first = digest;
+      EXPECT_EQ(digest, first) << pin.spec << " servers=" << pin.servers
+                               << ": warm run " << run << " diverged";
+      EXPECT_EQ(policy.ValueOrDie()->AsShardedState()->steal_count(),
+                pin.steals)
+          << pin.spec << " servers=" << pin.servers << " run " << run;
+    }
+  }
 }
 
 }  // namespace

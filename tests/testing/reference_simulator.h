@@ -31,15 +31,13 @@ namespace webtx::testing {
 /// It is the exact event loop the simulator shipped with before the
 /// sharded rewrite; the production Simulator must produce byte-identical
 /// results (ScheduleDigest over schedule, outcomes and counters) on
-/// every (workload, policy, fault plan, num_servers, shard_threads)
-/// combination — pinned by tests/sim/sharded_differential_test.cc and
-/// benchmarked against in bench/ext_multi_server.
+/// every (workload, policy, fault plan, num_servers) combination —
+/// pinned by tests/sim/sharded_differential_test.cc and benchmarked
+/// against in bench/ext_multi_server.
 ///
 /// Deliberately header-only and self-contained (its own pending-event
 /// heap) so later simulator refactors cannot silently change the
-/// baseline's behavior. It accepts the same SimOptions; sharding knobs
-/// (SimOptions::shard_threads, SimOptions::timing) are ignored, as they
-/// must not affect results in the production simulator either.
+/// baseline's behavior. It accepts the same SimOptions.
 class ReferenceSimulator final : public SimView {
  public:
   static Result<ReferenceSimulator> Create(std::vector<TransactionSpec> txns,
