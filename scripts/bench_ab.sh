@@ -11,11 +11,14 @@
 # on both sides, so the two runs of a pair time the same inputs.
 #
 # For every end-to-end metric (BENCHMARK.json of revA) it prints each
-# side's quartiles and median, the ratio of the medians, how many pairs
-# B won in the metric's "better" direction, and a verdict against the
-# metric's bound ("unresolved" when A's own interquartile spread is
-# wider than the bound), then both sides' host-stamp lines. Runs that
-# are not `correct` and failed operations are counted per side.
+# side's quartiles and median, the ratio of the medians, the median of
+# the per-pair ratios, how many pairs B won in the metric's "better"
+# direction, and a verdict: "gain" when B won at least nine tenths of
+# the pairs and its median beats A's by more than A's interquartile
+# distance, else one against the metric's bound ("unresolved" when A's
+# own interquartile spread is wider than the bound), then both sides'
+# host-stamp lines. Runs that are not `correct` and failed operations
+# are counted per side.
 #
 # Writes nothing outside the worktrees and its temporary directory
 # (under $TMPDIR, removed on exit along with the worktrees).

@@ -5,8 +5,12 @@
 
 Reads <work dir>/BENCHMARK.json and the outputs <side>.<pair>.out of
 perfbench/run.py (side a or b), and prints, for every end-to-end metric,
-both sides' quartiles, the ratio of the medians, B's pair wins and a
-verdict against the metric's bound, then both host-stamp lines.
+both sides' quartiles, the ratio of the medians, the median of the
+per-pair B/A ratios, B's pair wins and a verdict, then both host-stamp
+lines. The verdict is "gain" when B wins at least nine tenths of the
+pairs (ties count for neither side) and B's median beats A's by more
+than A's interquartile distance; otherwise it is judged against the
+metric's bound ("worse", "unresolved" or "ok").
 """
 
 import json
@@ -43,12 +47,14 @@ def main():
             sum(r["failed"] for r in results),
             sum(r["attempted"] for r in results)))
 
+    # "gain" when B wins at least nine tenths of the pairs and its median
+    # beats A's by more than A's interquartile distance; otherwise
     # "worse" when B's median is worse than A's by more than the metric's
     # bound; "unresolved" when A's own interquartile spread (relative to
     # its median) is already wider than the bound.
-    print("%-24s %-33s %-33s %-7s %-7s %s" % (
-        "metric", "A q1/median/q3", "B q1/median/q3", "B/A", "B wins",
-        "verdict"))
+    print("%-24s %-33s %-33s %-7s %-9s %-7s %s" % (
+        "metric", "A q1/median/q3", "B q1/median/q3", "B/A", "pair B/A",
+        "B wins", "verdict"))
     for metric in spec["end_to_end"]:
         name = metric["name"]
         if name not in runs["a"][0][1]["metrics"]:
@@ -59,9 +65,15 @@ def main():
         wins = sum(1 for x, y in zip(a, b) if (y > x if higher else y < x))
         qa, qb = quartiles(a), quartiles(b)
         ratio = qb[1] / qa[1] if qa[1] != 0 else 1.0
+        pair_ratios = [y / x for x, y in zip(a, b) if x != 0]
+        pair_ratio = statistics.median(pair_ratios) if pair_ratios else 1.0
         worse_by = (1 - ratio) if higher else (ratio - 1)
+        better_by = (qb[1] - qa[1]) if higher else (qa[1] - qb[1])
         spread = (qa[2] - qa[0]) / abs(qa[1]) if qa[1] != 0 else 0.0
-        if spread > metric["bound"]:
+        if wins * 10 >= pairs * 9 and better_by > qa[2] - qa[0]:
+            verdict = "gain (by %.4g > A's interquartile %.4g)" % (
+                better_by, qa[2] - qa[0])
+        elif spread > metric["bound"]:
             verdict = "unresolved (spread %.3f > bound %g)" % (
                 spread, metric["bound"])
         elif worse_by > metric["bound"]:
@@ -69,9 +81,9 @@ def main():
                                                      metric["bound"])
         else:
             verdict = "ok"
-        print("%-24s %-33s %-33s %-7.4f %-7s %s" % (
+        print("%-24s %-33s %-33s %-7.4f %-9.4f %-7s %s" % (
             name, "%.5g/%.5g/%.5g" % qa, "%.5g/%.5g/%.5g" % qb, ratio,
-            "%d/%d" % (wins, pairs), verdict))
+            pair_ratio, "%d/%d" % (wins, pairs), verdict))
     print("A host: " + runs["a"][0][0])
     print("B host: " + runs["b"][0][0])
 

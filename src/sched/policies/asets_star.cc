@@ -260,9 +260,7 @@ void AsetsStarPolicy::MigrateDue(SimTime now) {
   }
 }
 
-TxnId AsetsStarPolicy::PickNext(SimTime now) {
-  FlushDirty(now);
-  MigrateDue(now);
+TxnId AsetsStarPolicy::Decide(SimTime now) const {
   if (edf_.empty() && hdf_.empty()) return kInvalidTxn;
   if (edf_.empty()) return states_[hdf_.Top()].head;
   if (hdf_.empty()) return states_[edf_.Top()].head;
@@ -288,6 +286,23 @@ TxnId AsetsStarPolicy::PickNext(SimTime now) {
   return run_edf ? we.head : wh.head;
 }
 
+void AsetsStarPolicy::Exclude(TxnId id, SimTime now) {
+  excluded_heads_.push_back(id);
+  MarkWorkflowsOf(id, now);
+}
+
+void AsetsStarPolicy::RestoreExcluded(SimTime now) {
+  for (const TxnId id : excluded_heads_) MarkWorkflowsOf(id, now);
+  excluded_heads_.clear();
+  FlushDirty(now);
+}
+
+TxnId AsetsStarPolicy::PickNext(SimTime now) {
+  FlushDirty(now);
+  MigrateDue(now);
+  return Decide(now);
+}
+
 TxnId AsetsStarPolicy::PickNextExcluding(
     SimTime now, const std::vector<TxnId>& exclude) {
   if (exclude.empty()) return PickNext(now);
@@ -299,14 +314,43 @@ TxnId AsetsStarPolicy::PickNextExcluding(
   // workflows at a later event, after the simulator has charged progress
   // to their running members, with keys a rescan at `now` never sees.
   FlushDirty(now);
-  excluded_heads_ = exclude;
-  for (const TxnId id : exclude) MarkWorkflowsOf(id, now);
+  for (const TxnId id : exclude) Exclude(id, now);
   const TxnId pick = PickNext(now);
   WEBTX_DCHECK(pick == kInvalidTxn || !IsExcluded(pick));
-  excluded_heads_.clear();
-  for (const TxnId id : exclude) MarkWorkflowsOf(id, now);
-  FlushDirty(now);
+  RestoreExcluded(now);
   return pick;
+}
+
+void AsetsStarPolicy::PickBatch(SimTime now, size_t k,
+                                std::vector<TxnId>& out) {
+  out.clear();
+  if (k == 0) return;
+  // The greedy chain's slot i re-excludes picks 0..i-1 from scratch and
+  // restores them before returning. Excluding only the newest pick per
+  // slot reaches the same lists at every decision: a workflow last
+  // touched when an earlier pick joined the set sees the same
+  // intersection of the set with its members now, and a Touch at `now`
+  // does not depend on the workflow's prior filing.
+  FlushDirty(now);
+  MigrateDue(now);
+  const size_t ready = view().ready_transactions().size();
+  for (;;) {
+    const TxnId pick = Decide(now);
+    if (pick == kInvalidTxn) break;
+    WEBTX_DCHECK(!IsExcluded(pick));
+    out.push_back(pick);
+    if (out.size() == k) break;
+    Exclude(pick, now);
+    // Every ready transaction is placed. The chain's next call would
+    // idle, but its restore still re-touches this pick's workflows,
+    // refreshing any member the simulator charged without a callback
+    // (an outage-preempted transaction); RestoreExcluded does the same
+    // without the exclusion pass in between.
+    if (out.size() == ready) break;
+    FlushDirty(now);
+    MigrateDue(now);
+  }
+  RestoreExcluded(now);
 }
 
 AsetsStarPolicy::WorkflowSnapshot AsetsStarPolicy::SnapshotOf(WorkflowId id) {

@@ -69,13 +69,25 @@ struct AsetsStarOptions {
 /// marks the affected workflows dirty (live-set membership and the
 /// static aggregates stay immediate), and the recompute-and-refile
 /// happens once per dirty workflow at the next flush point — the top of
-/// PickNext / PickNextExcluding, i.e. the simulator's next scheduling
-/// round at the same instant. A multi-completion or crash instant that
-/// touches one workflow through several members therefore pays one
-/// refile instead of one per callback. Byte-identity is preserved
-/// because the flush runs at the same simulation time as the marks and
-/// a workflow's filing depends only on its own final state (the lists
-/// order by content, (key, id), never by operation history).
+/// PickNext / PickNextExcluding / PickBatch, i.e. the simulator's next
+/// scheduling round at the same instant. A multi-completion or crash
+/// instant that touches one workflow through several members therefore
+/// pays one refile instead of one per callback. Byte-identity is
+/// preserved because the flush runs at the same simulation time as the
+/// marks and a workflow's filing depends only on its own final state
+/// (the lists order by content, (key, id), never by operation history).
+///
+/// A k-server round (PickBatch) excludes each pick once: slot i
+/// re-touches only the workflows of pick i-1 under the grown exclusion
+/// set, and the round ends with one flush that restores the union of
+/// the excluded picks' workflows — O(k * (live members + log
+/// #workflows)) per round for picks whose workflows are disjoint, where
+/// the greedy PickNextExcluding chain re-derives all i earlier picks'
+/// workflows twice at slot i, O(k^2 * ...). The picks and the
+/// post-round lists equal the chain's: a workflow's head under
+/// exclusion set E depends only on E ∩ its members, a Touch files a
+/// workflow from (live values, exclusion, now) alone, and the lists
+/// order by (key, id).
 ///
 /// The three lists are IndexedPriorityQueues (Sec. III-A: one O(log N)
 /// ordered structure per list).
@@ -107,6 +119,7 @@ class AsetsStarPolicy final : public SchedulerPolicy,
   TxnId PickNext(SimTime now) override;
   TxnId PickNextExcluding(SimTime now,
                           const std::vector<TxnId>& exclude) override;
+  void PickBatch(SimTime now, size_t k, std::vector<TxnId>& out) override;
 
   /// Opts into the sharded-state protocol; must precede Bind. Called by
   /// the factory for the "ASETS*-sharded" spec.
@@ -187,6 +200,20 @@ class AsetsStarPolicy final : public SchedulerPolicy,
   /// unreachable to the HDF-List.
   void MigrateDue(SimTime now);
 
+  /// The Fig. 7 decision over the current list tops: the head of the
+  /// EDF- or HDF-List top workflow with the smaller weighted negative
+  /// impact, or kInvalidTxn when both lists are empty. Shared by
+  /// PickNext, PickNextExcluding and PickBatch.
+  TxnId Decide(SimTime now) const;
+
+  /// Adds `id` to the exclusion set and marks its workflows dirty, so
+  /// the next flush re-derives their heads without it.
+  void Exclude(TxnId id, SimTime now);
+
+  /// Clears the exclusion set and re-touches every excluded
+  /// transaction's workflows in one flush at `now`.
+  void RestoreExcluded(SimTime now);
+
   double HdfKey(const WorkflowState& ws) const {
     return ws.rep_remaining / ws.rep_weight;
   }
@@ -203,8 +230,8 @@ class AsetsStarPolicy final : public SchedulerPolicy,
   /// members.size()-capacity slice starting at states_[wid].live_begin).
   std::vector<TxnId> live_arena_;
   /// Transactions already placed on other servers during a multi-server
-  /// scheduling round; Refresh skips them as head candidates. Empty
-  /// outside PickNextExcluding.
+  /// scheduling round; Touch skips them as head candidates. Empty
+  /// outside PickNextExcluding and PickBatch.
   std::vector<TxnId> excluded_heads_;
   /// Dirty-set batching state: dirty_[wid] != 0 iff wid is queued in
   /// dirty_list_ awaiting a Touch. dirty_now_ remembers the timestamp of

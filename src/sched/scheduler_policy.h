@@ -147,10 +147,13 @@ class SchedulerPolicy {
   /// order, stopping early when the policy idles. MUST equal the greedy
   /// PickNextExcluding chain — out[i] is exactly what
   /// PickNextExcluding(now, {out[0..i-1]}) would return — which is what
-  /// the default does literally, call by call. Policies whose exclusion
-  /// semantics reduce to "the next k pops" may override with a batch
-  /// implementation that skips the per-slot park-and-restore churn; the
-  /// override carries the proof burden of byte-identical picks
+  /// the default does literally, call by call. A policy may override to
+  /// skip the chain's per-slot park-and-restore churn. The override need
+  /// not be a read-only walk: single-queue policies and ASETS stream the
+  /// top k of their lists, while ASETS* re-touches each pick's workflows
+  /// once under a growing exclusion set and restores them all at the
+  /// end. The override carries the proof burden of byte-identical picks
+  /// and of leaving the policy's state as the chain leaves it
   /// (differential-tested against the greedy chain by
   /// tests/sched/pick_excluding_test.cc and every pinned digest).
   virtual void PickBatch(SimTime now, size_t k, std::vector<TxnId>& out) {

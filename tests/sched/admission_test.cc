@@ -120,7 +120,6 @@ TEST(QueueDepthAdmissionTest, DeferBudgetBoundaryIsExact) {
         {Txn(0, 0, 5, 100), Txn(1, 0, 5, 100), Txn(2, 0, 5, 100)});
     view.Arrive(0);
     view.Arrive(1);
-    view.RebuildReadyList();
     QueueDepthAdmission controller(depth);
     controller.Bind(view);
     for (uint32_t presentation = 0; presentation < budget; ++presentation) {

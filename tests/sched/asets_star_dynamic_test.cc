@@ -109,7 +109,6 @@ TEST(AsetsStarDynamicTest, SnapshotTracksArrivalsIncrementally) {
   // Direct policy-level check that arrivals refresh representatives.
   FakeView view({Txn(0, 0, 5, 40), Txn(1, 0, 2, 9, 6.0, {0})});
   view.Arrive(0);
-  view.RebuildReadyList();
   AsetsStarPolicy policy;
   policy.Bind(view);
   policy.OnArrival(0, 0.0);
@@ -119,7 +118,6 @@ TEST(AsetsStarDynamicTest, SnapshotTracksArrivalsIncrementally) {
   EXPECT_EQ(before.rep_weight, 1.0);
 
   view.Arrive(1);
-  view.RebuildReadyList();
   policy.OnArrival(1, 1.0);
   auto after = policy.SnapshotOf(0);
   EXPECT_EQ(after.rep_deadline, 9.0);

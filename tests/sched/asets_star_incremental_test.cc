@@ -176,30 +176,71 @@ INSTANTIATE_TEST_SUITE_P(
     RuleName);
 
 // ---------------------------------------------------------------------------
-// Multi-server: PickNextExcluding must re-derive heads under the
-// exclusion set exactly as the reference's rescan does.
+// Multi-server: the incremental PickBatch round must re-derive heads
+// under the growing exclusion set exactly as the reference's greedy
+// PickNextExcluding chain of rescans does, at every server count.
 
-using ServerParam = std::tuple<bool, uint64_t>;
+using ServerParam = std::tuple<bool, uint64_t, size_t>;  // faulty, seed, k
 
 class IncrementalMultiServerTest
     : public ::testing::TestWithParam<ServerParam> {};
 
 TEST_P(IncrementalMultiServerTest, ScheduleByteIdenticalToReference) {
-  const auto& [faulty, seed] = GetParam();
+  const auto& [faulty, seed, num_servers] = GetParam();
   const auto txns = MakeWorkload(kTopologies[2], seed, /*utilization=*/1.6);
-  ExpectIdenticalSchedules(txns, MakeOptions(faulty, /*num_servers=*/3),
+  ExpectIdenticalSchedules(txns, MakeOptions(faulty, num_servers),
                            AsetsStarOptions{});
 }
 
+// k = 3 names carry no suffix, so those test IDs stay stable.
 std::string ServerName(const ::testing::TestParamInfo<ServerParam>& info) {
-  const auto& [faulty, seed] = info.param;
-  return std::string(faulty ? "faulty_s" : "clean_s") + std::to_string(seed);
+  const auto& [faulty, seed, num_servers] = info.param;
+  std::string name =
+      std::string(faulty ? "faulty_s" : "clean_s") + std::to_string(seed);
+  if (num_servers != 3) name += "_k" + std::to_string(num_servers);
+  return name;
 }
 
-INSTANTIATE_TEST_SUITE_P(Servers, IncrementalMultiServerTest,
-                         ::testing::Combine(::testing::Bool(),
-                                            ::testing::Range<uint64_t>(1, 6)),
-                         ServerName);
+INSTANTIATE_TEST_SUITE_P(
+    Servers, IncrementalMultiServerTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Range<uint64_t>(1, 6),
+                       ::testing::Values<size_t>(2, 3, 4, 8)),
+    ServerName);
+
+// huge_stream's shape at a few thousand transactions: weights 1-10,
+// estimate error 0.2, workflows up to 4 long and up to 2 per
+// transaction, aborts only (3 attempts, backoff 1), four servers. At
+// huge_stream's utilization, 0.9, rounds often place every ready
+// transaction before the fourth server (the round's early stop); 3.6
+// puts the load of 0.9 on one server onto each of the four.
+TEST(IncrementalMultiServerShapeTest, HugeStreamShapeMatchesReference) {
+  WorkloadSpec spec;
+  spec.num_transactions = 3000;
+  spec.max_weight = 10;
+  spec.estimate_error = 0.2;
+  spec.max_workflow_length = 4;
+  spec.max_workflows_per_txn = 2;
+  FaultPlanConfig fault;
+  fault.abort_rate = 0.01;
+  SimOptions options;
+  options.record_schedule = true;
+  options.num_servers = 4;
+  options.retry.max_attempts = 3;
+  options.retry.backoff = 1.0;
+  for (const double utilization : {0.9, 3.6}) {
+    spec.utilization = utilization;
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      fault.seed = 500 + seed;
+      auto plan = FaultPlan::Create(fault);
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      options.fault_plan = plan.ValueOrDie();
+      auto generator = WorkloadGenerator::Create(spec);
+      ASSERT_TRUE(generator.ok()) << generator.status();
+      ExpectIdenticalSchedules(generator.ValueOrDie().Generate(seed), options,
+                               AsetsStarOptions{});
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Unclamped impact rule rides the same caches; spot-check it too.

@@ -60,7 +60,6 @@ TEST(AsetsStarTest, RepresentativeExcludesFinishedMembers) {
 TEST(AsetsStarTest, RepresentativeExcludesUnarrivedMembers) {
   FakeView view(Chain());
   view.Arrive(0);  // T1, T2 not in the system yet
-  view.RebuildReadyList();
   AsetsStarPolicy policy;
   policy.Bind(view);
   policy.OnArrival(0, 0.0);
@@ -77,7 +76,6 @@ TEST(AsetsStarTest, WorkflowWithNoReadyMemberIsInactive) {
   FakeView view(Chain());
   view.Arrive(1);
   view.Arrive(2);
-  view.RebuildReadyList();
   AsetsStarPolicy policy;
   policy.Bind(view);
   policy.OnArrival(1, 0.0);

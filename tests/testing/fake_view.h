@@ -28,8 +28,12 @@ class FakeView final : public SimView {
     for (size_t i = 0; i < n; ++i) remaining_[i] = specs_[i].length;
   }
 
-  // Test-side mutators.
-  void Arrive(TxnId id) { arrived_[id] = 1; }
+  // Test-side mutators. Arrive, Finish and ArriveAll keep
+  // ready_transactions() current.
+  void Arrive(TxnId id) {
+    arrived_[id] = 1;
+    RebuildReadyList();
+  }
   void Finish(TxnId id) {
     finished_[id] = 1;
     remaining_[id] = 0.0;
