@@ -77,8 +77,8 @@ void Describe(const std::vector<webtx::TransactionSpec>& txns) {
   const auto registry =
       webtx::WorkflowRegistry::Build(graph.ValueOrDie());
   webtx::StreamingStats wf_sizes;
-  for (const auto& wf : registry.workflows()) {
-    wf_sizes.Add(static_cast<double>(wf.members.size()));
+  for (webtx::WorkflowId w = 0; w < registry.num_workflows(); ++w) {
+    wf_sizes.Add(static_cast<double>(registry.workflow(w).members.size()));
   }
   std::cout << "workflows:    " << registry.num_workflows()
             << " (mean size " << webtx::FormatFixed(wf_sizes.mean(), 2)

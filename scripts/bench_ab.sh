@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Interleaved A/B of the repository benchmark between two git revisions.
 #
-# Usage: scripts/bench_ab.sh <revA> <revB> <workload> [pairs]
+# Usage: scripts/bench_ab.sh <revA> <revB> <workload> [pairs] [first_seed]
 #
 # Checks out each revision into its own `git worktree` under a
 # temporary directory, builds it with perfbench/run.py (Release), and
 # runs `python3 perfbench/run.py --workload <workload> --trace 0` on both
 # sides `pairs` times (default 10), alternating which side runs first so
-# neither always gets the warmer or the quieter slot. Pair i uses seed i
-# on both sides, so the two runs of a pair time the same inputs.
+# neither always gets the warmer or the quieter slot. Pair i uses seed
+# first_seed + i (first_seed defaults to 0) on both sides, so the two
+# runs of a pair time the same inputs; pass a first seed the claim was
+# not developed on to re-measure it on held-out inputs.
 #
 # For every end-to-end metric (BENCHMARK.json of revA) it prints each
 # side's quartiles and median, the ratio of the medians, the median of
@@ -25,16 +27,21 @@
 
 set -euo pipefail
 
-if [[ $# -lt 3 || $# -gt 4 ]]; then
-  echo "usage: $0 <revA> <revB> <workload> [pairs]" >&2
+if [[ $# -lt 3 || $# -gt 5 ]]; then
+  echo "usage: $0 <revA> <revB> <workload> [pairs] [first_seed]" >&2
   exit 2
 fi
 REV_A="$1"
 REV_B="$2"
 WORKLOAD="$3"
 PAIRS="${4:-10}"
+FIRST_SEED="${5:-0}"
 if ! [[ "$PAIRS" =~ ^[1-9][0-9]*$ ]]; then
   echo "pairs must be a positive integer: $PAIRS" >&2
+  exit 2
+fi
+if ! [[ "$FIRST_SEED" =~ ^(0|[1-9][0-9]*)$ ]]; then
+  echo "first_seed must be a non-negative integer: $FIRST_SEED" >&2
   exit 2
 fi
 
@@ -68,12 +75,13 @@ done
 
 run_side() {  # side, pair index
   (cd "$WORK/$1" &&
-     python3 perfbench/run.py --workload "$WORKLOAD" --seed "$2" \
-       --seconds "$RUN_SECONDS" --trace 0) > "$WORK/$1.$2.out"
+     python3 perfbench/run.py --workload "$WORKLOAD" \
+       --seed "$((FIRST_SEED + $2))" --seconds "$RUN_SECONDS" --trace 0) \
+    > "$WORK/$1.$2.out"
 }
 
 for ((i = 0; i < PAIRS; ++i)); do
-  echo "==> pair $((i + 1))/$PAIRS" >&2
+  echo "==> pair $((i + 1))/$PAIRS (seed $((FIRST_SEED + i)))" >&2
   if ((i % 2 == 0)); then
     run_side a "$i"
     run_side b "$i"
@@ -84,4 +92,4 @@ for ((i = 0; i < PAIRS; ++i)); do
 done
 
 python3 "$(dirname "$0")/bench_ab_report.py" "$WORK" "$PAIRS" "$SHA_A" \
-  "$SHA_B" "$WORKLOAD"
+  "$SHA_B" "$WORKLOAD" "$FIRST_SEED"

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Summarizes the runs of scripts/bench_ab.sh.
 
-    bench_ab_report.py <work dir> <pairs> <sha A> <sha B> <workload>
+    bench_ab_report.py <work dir> <pairs> <sha A> <sha B> <workload> \
+        [first seed]
 
 Reads <work dir>/BENCHMARK.json and the outputs <side>.<pair>.out of
-perfbench/run.py (side a or b), and prints, for every end-to-end metric,
+perfbench/run.py (side a or b; pair i ran seed first seed + i, default
+0), and prints the seed range, then, for every end-to-end metric,
 both sides' quartiles, the ratio of the medians, the median of the
 per-pair B/A ratios, B's pair wins and a verdict, then both host-stamp
 lines. The verdict is "gain" when B wins at least nine tenths of the
@@ -34,12 +36,14 @@ def quartiles(values):
 def main():
     work, pairs, sha_a, sha_b, workload = sys.argv[1:6]
     pairs = int(pairs)
+    first_seed = int(sys.argv[6]) if len(sys.argv) > 6 else 0
     spec = json.load(open(work + "/BENCHMARK.json"))
     runs = {side: [load(work, side, i) for i in range(pairs)]
             for side in "ab"}
 
-    print("A/B %s: A=%s B=%s, %d interleaved pairs" %
-          (workload, sha_a, sha_b, pairs))
+    print("A/B %s: A=%s B=%s, %d interleaved pairs, seeds %d-%d" %
+          (workload, sha_a, sha_b, pairs, first_seed,
+           first_seed + pairs - 1))
     for side in "ab":
         results = [r for _, r in runs[side]]
         print("%s: %d/%d runs correct; %d of %d operations failed" % (

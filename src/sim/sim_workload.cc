@@ -18,6 +18,7 @@ Status SimWorkload::Rebuild(std::vector<TransactionSpec>& txns) {
   const size_t n = specs_.size();
   for (size_t i = 0; i < n; ++i) {
     const TransactionSpec& t = specs_[i];
+    WEBTX_RETURN_NOT_OK(CheckFinite(t));
     if (t.length <= 0.0) {
       return Status::InvalidArgument("T" + std::to_string(i) +
                                      " has non-positive length");
@@ -42,8 +43,9 @@ Status SimWorkload::Rebuild(std::vector<TransactionSpec>& txns) {
   for (size_t i = 0; i < n; ++i) {
     arrival_order_[i] = static_cast<TxnId>(i);
   }
-  // (arrival, id) is a strict total order, so plain sort yields exactly
-  // the stable-sort result without its temporary buffer.
+  // Arrivals are finite, so (arrival, id) is a strict total order and
+  // plain sort yields exactly the stable-sort result without its
+  // temporary buffer.
   std::sort(arrival_order_.begin(), arrival_order_.end(),
             [this](TxnId a, TxnId b) {
               if (specs_[a].arrival != specs_[b].arrival) {

@@ -21,8 +21,8 @@ namespace webtx {
 /// twin builds one forecast workload per control tick and points every
 /// candidate's pooled shadow sim at it — and so the whole bundle can be
 /// warm-`Rebuild`ed in place each tick, reusing all derived-structure
-/// storage from the previous build (zero steady-state allocations for
-/// equal-or-smaller spec sets with no dependencies).
+/// storage from the previous build (zero steady-state allocations once
+/// every flat array has seen an equal-or-larger spec set).
 ///
 /// Thread safety: const access is safe from any number of threads (the
 /// parallel forecast fan-out reads one workload from all candidate
@@ -31,8 +31,9 @@ class SimWorkload {
  public:
   SimWorkload() = default;
 
-  /// Validates the specs (dense ids, acyclic dependencies, positive
-  /// lengths, non-negative arrivals) and builds the derived structures.
+  /// Validates the specs (finite numbers per CheckFinite, dense ids,
+  /// acyclic dependencies, positive lengths, non-negative arrivals) and
+  /// builds the derived structures.
   static Result<SimWorkload> Build(std::vector<TransactionSpec> txns);
 
   /// Rebuilds this workload in place from a new spec set, reusing all

@@ -15,10 +15,14 @@ Result<DependencyGraph> DependencyGraph::Build(
 
 Status DependencyGraph::Rebuild(const std::vector<TransactionSpec>& txns) {
   const size_t n = txns.size();
-  preds_.resize(n);
-  succs_.resize(n);
-  for (auto& s : succs_) s.clear();
-  num_edges_ = 0;
+  size_t num_edges = 0;
+  for (const TransactionSpec& t : txns) num_edges += t.dependencies.size();
+  pred_ids_.clear();
+  pred_ids_.reserve(num_edges);
+  pred_offsets_.resize(n + 1);
+  pred_offsets_[0] = 0;
+  // succ_offsets_[d] counts d's successors until the fill below.
+  succ_offsets_.assign(n + 1, 0);
 
   for (size_t i = 0; i < n; ++i) {
     if (txns[i].id != static_cast<TxnId>(i)) {
@@ -26,11 +30,13 @@ Status DependencyGraph::Rebuild(const std::vector<TransactionSpec>& txns) {
           "transaction ids must be dense 0..N-1; slot " + std::to_string(i) +
           " holds id " + std::to_string(txns[i].id));
     }
-    std::vector<TxnId>& deps = preds_[i];
-    deps.assign(txns[i].dependencies.begin(), txns[i].dependencies.end());
-    std::sort(deps.begin(), deps.end());
-    for (size_t k = 0; k < deps.size(); ++k) {
-      const TxnId d = deps[k];
+    const std::vector<TxnId>& deps = txns[i].dependencies;
+    const size_t begin = pred_ids_.size();
+    pred_ids_.insert(pred_ids_.end(), deps.begin(), deps.end());
+    std::sort(pred_ids_.begin() + static_cast<std::ptrdiff_t>(begin),
+              pred_ids_.end());
+    for (size_t k = begin; k < pred_ids_.size(); ++k) {
+      const TxnId d = pred_ids_[k];
       if (d >= n) {
         return Status::InvalidArgument("T" + std::to_string(i) +
                                        " depends on unknown transaction " +
@@ -40,18 +46,28 @@ Status DependencyGraph::Rebuild(const std::vector<TransactionSpec>& txns) {
         return Status::InvalidArgument("T" + std::to_string(i) +
                                        " depends on itself");
       }
-      if (k > 0 && deps[k] == deps[k - 1]) {
+      if (k > begin && d == pred_ids_[k - 1]) {
         return Status::InvalidArgument("T" + std::to_string(i) +
                                        " lists duplicate dependency " +
                                        std::to_string(d));
       }
+      ++succ_offsets_[d];
     }
-    for (const TxnId d : deps) {
-      succs_[d].push_back(static_cast<TxnId>(i));
-      ++num_edges_;
+    pred_offsets_[i + 1] = pred_ids_.size();
+  }
+
+  // Transpose into the successor rows. After the running sum
+  // succ_offsets_[d] is the end of d's row; filling dependents in
+  // descending id order walks each cursor back to its row's start and
+  // leaves every row ascending.
+  for (size_t d = 1; d < n; ++d) succ_offsets_[d] += succ_offsets_[d - 1];
+  succ_offsets_[n] = num_edges;
+  succ_ids_.resize(num_edges);
+  for (size_t i = n; i-- > 0;) {
+    for (const TxnId d : predecessors(static_cast<TxnId>(i))) {
+      succ_ids_[--succ_offsets_[d]] = static_cast<TxnId>(i);
     }
   }
-  for (auto& s : succs_) std::sort(s.begin(), s.end());
 
   // Kahn's algorithm: topological order doubling as cycle detection. The
   // output array itself serves as the FIFO frontier (head index walk), which
@@ -59,13 +75,13 @@ Status DependencyGraph::Rebuild(const std::vector<TransactionSpec>& txns) {
   // storage.
   indeg_.resize(n);
   topo_.clear();
+  topo_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    indeg_[i] = preds_[i].size();
+    indeg_[i] = pred_offsets_[i + 1] - pred_offsets_[i];
     if (indeg_[i] == 0) topo_.push_back(static_cast<TxnId>(i));
   }
   for (size_t head = 0; head < topo_.size(); ++head) {
-    const TxnId u = topo_[head];
-    for (const TxnId v : succs_[u]) {
+    for (const TxnId v : successors(topo_[head])) {
       if (--indeg_[v] == 0) topo_.push_back(v);
     }
   }
@@ -78,8 +94,8 @@ Status DependencyGraph::Rebuild(const std::vector<TransactionSpec>& txns) {
 
 std::vector<TxnId> DependencyGraph::Roots() const {
   std::vector<TxnId> roots;
-  for (size_t i = 0; i < succs_.size(); ++i) {
-    if (succs_[i].empty()) roots.push_back(static_cast<TxnId>(i));
+  for (size_t i = 0; i < num_transactions(); ++i) {
+    if (IsRoot(static_cast<TxnId>(i))) roots.push_back(static_cast<TxnId>(i));
   }
   return roots;
 }

@@ -1,5 +1,6 @@
 #include "txn/transaction.h"
 
+#include <cmath>
 #include <sstream>
 
 namespace webtx {
@@ -14,6 +15,21 @@ std::string TransactionSpec::DebugString() const {
   }
   os << "]}";
   return os.str();
+}
+
+Status CheckFinite(const TransactionSpec& t) {
+  const auto reject = [&t](const char* field) {
+    return Status::InvalidArgument("T" + std::to_string(t.id) + " has " +
+                                   field);
+  };
+  if (!std::isfinite(t.arrival)) return reject("non-finite arrival time");
+  if (!std::isfinite(t.length)) return reject("non-finite length");
+  if (!std::isfinite(t.length_estimate)) {
+    return reject("non-finite length estimate");
+  }
+  if (std::isnan(t.deadline)) return reject("NaN deadline");
+  if (!std::isfinite(t.weight)) return reject("non-finite weight");
+  return Status::OK();
 }
 
 }  // namespace webtx

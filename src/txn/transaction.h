@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/sim_time.h"
+#include "common/status.h"
 
 namespace webtx {
 
@@ -55,6 +56,13 @@ struct TransactionSpec {
 
   std::string DebugString() const;
 };
+
+/// Rejects a spec carrying a number no schedule can use: NaN in any
+/// field, or an infinite arrival, length, length estimate or weight. An
+/// infinite deadline stays legal (the transaction has no due date). The
+/// error names the transaction by its id. Range checks (positive length,
+/// non-negative arrival, ...) are the simulator's (SimWorkload::Rebuild).
+Status CheckFinite(const TransactionSpec& t);
 
 /// Tardiness of a finished transaction (paper Definition 3):
 /// max(0, finish - deadline).

@@ -12,31 +12,29 @@ WorkflowRegistry WorkflowRegistry::Build(const DependencyGraph& graph) {
 
 void WorkflowRegistry::Rebuild(const DependencyGraph& graph) {
   const size_t n = graph.num_transactions();
-  txn_to_workflows_.resize(n);
-  for (auto& w : txn_to_workflows_) w.clear();
+  roots_.clear();
+  member_offsets_.assign(1, 0);
+  member_ids_.clear();
+  // Every transaction belongs to at least one workflow.
+  member_ids_.reserve(n);
   if (visited_.size() < n) visited_.resize(n, 0);
   max_workflow_size_ = 0;
 
-  // Roots ascend by id (matching DependencyGraph::Roots), and workflow slots
-  // from the previous build are reused in place.
-  size_t w = 0;
+  // One workflow per root, in ascending root order (matching
+  // DependencyGraph::Roots).
   for (size_t i = 0; i < n; ++i) {
     const TxnId root = static_cast<TxnId>(i);
     if (!graph.IsRoot(root)) continue;
-    if (w == workflows_.size()) workflows_.emplace_back();
-    Workflow& wf = workflows_[w];
-    wf.id = static_cast<WorkflowId>(w);
-    wf.root = root;
-    wf.members.clear();
-
-    const size_t stamp = ++stamp_;
+    roots_.push_back(root);
+    const size_t begin = member_ids_.size();
+    const uint64_t stamp = ++stamp_;
     stack_.clear();
     stack_.push_back(root);
     visited_[root] = stamp;
     while (!stack_.empty()) {
       const TxnId u = stack_.back();
       stack_.pop_back();
-      wf.members.push_back(u);
+      member_ids_.push_back(u);
       for (const TxnId p : graph.predecessors(u)) {
         if (visited_[p] != stamp) {
           visited_[p] = stamp;
@@ -44,14 +42,27 @@ void WorkflowRegistry::Rebuild(const DependencyGraph& graph) {
         }
       }
     }
-    std::sort(wf.members.begin(), wf.members.end());
-    max_workflow_size_ = std::max(max_workflow_size_, wf.members.size());
-    for (const TxnId m : wf.members) {
-      txn_to_workflows_[m].push_back(wf.id);
-    }
-    ++w;
+    std::sort(member_ids_.begin() + static_cast<std::ptrdiff_t>(begin),
+              member_ids_.end());
+    max_workflow_size_ =
+        std::max(max_workflow_size_, member_ids_.size() - begin);
+    member_offsets_.push_back(member_ids_.size());
   }
-  workflows_.resize(w);
+
+  // Invert into the per-transaction rows: count each transaction's
+  // workflows, run the sum so txn_offsets_[t] is the end of t's row, then
+  // fill workflows in descending id order, which walks each cursor back to
+  // its row's start and leaves every row ascending.
+  txn_offsets_.assign(n + 1, 0);
+  for (const TxnId m : member_ids_) ++txn_offsets_[m];
+  for (size_t t = 1; t < n; ++t) txn_offsets_[t] += txn_offsets_[t - 1];
+  txn_offsets_[n] = member_ids_.size();
+  txn_workflows_.resize(member_ids_.size());
+  for (size_t w = roots_.size(); w-- > 0;) {
+    for (const TxnId m : CsrRow(member_offsets_, member_ids_, w)) {
+      txn_workflows_[--txn_offsets_[m]] = static_cast<WorkflowId>(w);
+    }
+  }
 }
 
 }  // namespace webtx

@@ -1,5 +1,6 @@
 #include "workload/trace.h"
 
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -70,6 +71,7 @@ Result<std::vector<TransactionSpec>> ReadTrace(const std::string& path) {
     WEBTX_ASSIGN_OR_RETURN(t.length_estimate, ParseDouble(row[3]));
     WEBTX_ASSIGN_OR_RETURN(t.deadline, ParseDouble(row[4]));
     WEBTX_ASSIGN_OR_RETURN(t.weight, ParseDouble(row[5]));
+    WEBTX_RETURN_NOT_OK(CheckFinite(t));
     if (!row[6].empty()) {
       std::istringstream deps(row[6]);
       std::string field;
@@ -78,6 +80,12 @@ Result<std::vector<TransactionSpec>> ReadTrace(const std::string& path) {
         if (dep < 0) {
           return Status::InvalidArgument("negative dependency id in row " +
                                          std::to_string(r));
+        }
+        if (static_cast<unsigned long long>(dep) >
+            std::numeric_limits<TxnId>::max()) {
+          return Status::InvalidArgument(
+              "T" + std::to_string(t.id) + " lists dependency id " + field +
+              ", which does not fit in a transaction id");
         }
         t.dependencies.push_back(static_cast<TxnId>(dep));
       }

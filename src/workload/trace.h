@@ -21,8 +21,9 @@ namespace webtx {
 Status WriteTrace(const std::string& path,
                   const std::vector<TransactionSpec>& txns);
 
-/// Parses a trace written by WriteTrace. Validates density of ids and
-/// field syntax; dependency-graph validity is checked later by
+/// Parses a trace written by WriteTrace. Validates density of ids, field
+/// syntax, finite numbers (CheckFinite) and that every dependency id fits
+/// in a TxnId; dependency-graph validity is checked later by
 /// Simulator::Create.
 Result<std::vector<TransactionSpec>> ReadTrace(const std::string& path);
 

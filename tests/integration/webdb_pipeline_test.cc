@@ -6,6 +6,7 @@
 #include "sched/policies/asets_star.h"
 #include "sched/policies/single_queue_policies.h"
 #include "sim/simulator.h"
+#include "testing/id_ranges.h"
 #include "webdb/database.h"
 #include "webdb/page.h"
 #include "webdb/profiler.h"
@@ -117,8 +118,10 @@ TEST_F(WebdbPipelineTest, WorkflowsMatchRequests) {
   // rooted at the alerts transaction.
   const auto& registry = sim.ValueOrDie().workflows();
   ASSERT_EQ(registry.num_workflows(), 2u);
-  EXPECT_EQ(registry.workflow(0).members, (std::vector<TxnId>{0, 1, 2}));
-  EXPECT_EQ(registry.workflow(1).members, (std::vector<TxnId>{3, 4, 5}));
+  EXPECT_EQ(testing::ToVector(registry.workflow(0).members),
+            (std::vector<TxnId>{0, 1, 2}));
+  EXPECT_EQ(testing::ToVector(registry.workflow(1).members),
+            (std::vector<TxnId>{3, 4, 5}));
 }
 
 TEST_F(WebdbPipelineTest, ProfilerLearningChangesSubsequentLengths) {

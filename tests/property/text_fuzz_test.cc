@@ -5,6 +5,8 @@
 // token) with a fixed seed, so every run explores the same mutants. The
 // contract is that a parser answers every mutant with a Status or a
 // value and never crashes; the asan and ubsan presets run these too.
+// Parsed traces go on through Simulator::Create and one FCFS run, so the
+// spec validation and the flat precedence indexes see the mutants too.
 
 #include <unistd.h>
 
@@ -18,6 +20,8 @@
 
 #include "common/rng.h"
 #include "exp/campaign.h"
+#include "sched/policies/single_queue_policies.h"
+#include "sim/simulator.h"
 #include "webdb/query_parser.h"
 #include "workload/generator.h"
 #include "workload/trace.h"
@@ -170,6 +174,7 @@ TEST(TextFuzzTest, TraceReaderNeverCrashes) {
   const std::string seed = ReadFile(path);
   Mutator mutator(2009);
   size_t parsed = 0;
+  size_t simulated = 0;
   for (size_t i = 0; i < kMutantsPerTarget; ++i) {
     {
       std::ofstream out(path, std::ios::trunc);
@@ -178,13 +183,22 @@ TEST(TextFuzzTest, TraceReaderNeverCrashes) {
     auto txns = ReadTrace(path);
     if (!txns.ok()) continue;
     ++parsed;
-    for (size_t id = 0; id < txns.ValueOrDie().size(); ++id) {
+    const size_t n = txns.ValueOrDie().size();
+    for (size_t id = 0; id < n; ++id) {
       EXPECT_EQ(txns.ValueOrDie()[id].id, id);
     }
+    auto sim = Simulator::Create(std::move(txns).ValueOrDie());
+    if (!sim.ok()) continue;
+    ++simulated;
+    FcfsPolicy fcfs;
+    EXPECT_EQ(sim.ValueOrDie().Run(fcfs).outcomes.size(), n);
   }
   std::remove(path.c_str());
   EXPECT_GT(parsed, 0u);
   EXPECT_LT(parsed, kMutantsPerTarget);
+  // Both outcomes of Create must be common too.
+  EXPECT_GT(simulated, 0u);
+  EXPECT_LT(simulated, parsed);
 }
 
 }  // namespace

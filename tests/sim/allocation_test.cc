@@ -5,7 +5,10 @@
 //  1. Re-binding ASETS* to a view it has seen before performs ZERO heap
 //     allocations: states, the flat live-member arena, the dirty set,
 //     and all three priority queues reuse their capacity.
-//  2. The simulator's event loop proper is allocation-free: once a
+//  2. Simulator::Create allocates a fixed number of blocks whatever the
+//     transaction count: the dependency graph and workflow registry are
+//     flat arrays, not one list per transaction or workflow.
+//  3. The simulator's event loop proper is allocation-free: once a
 //     Simulator + policy pair is warm, the number of allocations in a
 //     run does not depend on how many events the run processes. Two
 //     workloads with identical shape (n, servers, record options) but
@@ -106,9 +109,10 @@ uint64_t AllocationCount() {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
-std::vector<TransactionSpec> WorkflowWorkload(uint64_t seed) {
+std::vector<TransactionSpec> WorkflowWorkload(uint64_t seed,
+                                              size_t num_transactions = 60) {
   WorkloadSpec spec;
-  spec.num_transactions = 60;
+  spec.num_transactions = num_transactions;
   spec.utilization = 0.9;
   spec.max_weight = 10;
   spec.max_workflow_length = 4;
@@ -134,6 +138,28 @@ TEST(AllocationTest, RebindAllocatesNothing) {
   policy.Bind(view);
   EXPECT_EQ(AllocationCount() - before, 0u)
       << "re-Bind must reuse the arena, dirty set, and queue capacity";
+}
+
+uint64_t CreateAllocations(size_t num_transactions) {
+  std::vector<TransactionSpec> txns = WorkflowWorkload(3, num_transactions);
+  const uint64_t before = AllocationCount();
+  auto sim = Simulator::Create(std::move(txns));
+  const uint64_t allocations = AllocationCount() - before;
+  WEBTX_CHECK(sim.ok()) << sim.status();
+  return allocations;
+}
+
+TEST(AllocationTest, CreateDoesNotAllocatePerTransaction) {
+  if (!WEBTX_ALLOC_COUNTING) {
+    GTEST_SKIP() << "allocation counting disabled under sanitizers";
+  }
+  // Ten times the transactions may cost a few more doublings of the
+  // flat arrays, never a block per transaction or per workflow.
+  const uint64_t small = CreateAllocations(600);
+  const uint64_t large = CreateAllocations(6000);
+  EXPECT_LT(large, small + 64)
+      << "Create allocated " << small << " times for 600 transactions and "
+      << large << " times for 6000";
 }
 
 SimOptions AbortOptions(double abort_rate) {

@@ -1,5 +1,8 @@
 #include "sim/simulator.h"
 
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "sched/policies/single_queue_policies.h"
@@ -9,6 +12,15 @@ namespace webtx {
 namespace {
 
 using testing::Txn;
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Create's error message, or "ok".
+std::string CreateError(std::vector<TransactionSpec> txns) {
+  auto sim = Simulator::Create(std::move(txns));
+  return sim.ok() ? "ok" : sim.status().message();
+}
 
 RunResult RunWith(std::vector<TransactionSpec> txns, SchedulerPolicy& policy,
                   SimOptions options = {}) {
@@ -207,6 +219,10 @@ TEST(SimulatorTest, CreateRejectsNegativeEstimate) {
   std::vector<TransactionSpec> txns = {Txn(0, 0, 1, 10)};
   txns[0].length_estimate = -1.0;
   EXPECT_FALSE(Simulator::Create(txns).ok());
+  txns[0].length_estimate = kNaN;
+  EXPECT_EQ(CreateError(txns), "T0 has non-finite length estimate");
+  txns[0].length_estimate = kInf;
+  EXPECT_EQ(CreateError(txns), "T0 has non-finite length estimate");
 }
 
 TEST(SimulatorTest, CreateRejectsBadWorkloads) {
@@ -217,6 +233,25 @@ TEST(SimulatorTest, CreateRejectsBadWorkloads) {
   EXPECT_FALSE(
       Simulator::Create({Txn(0, 0, 1, 10, 1.0, {0})}).ok());   // self dep
   EXPECT_FALSE(Simulator::Create({Txn(3, 0, 1, 10)}).ok());    // bad id
+  // Non-finite numbers. NaN passes every range check above; a NaN length
+  // never finishes, a NaN arrival breaks the arrival-order sort, an
+  // infinite arrival stalls the run, and NaN weights and deadlines
+  // poison or hide the tardiness metrics.
+  EXPECT_EQ(CreateError({Txn(0, 0, kNaN, 10), Txn(1, 0, 1, 10)}),
+            "T0 has non-finite length");
+  EXPECT_EQ(CreateError({Txn(0, 0, kInf, 10)}), "T0 has non-finite length");
+  EXPECT_EQ(
+      CreateError({Txn(0, 0, 1, 10), Txn(1, kNaN, 1, 10), Txn(2, 0, 1, 10)}),
+      "T1 has non-finite arrival time");
+  EXPECT_EQ(CreateError({Txn(0, 0, 1, 10), Txn(1, kInf, 1, 10)}),
+            "T1 has non-finite arrival time");
+  EXPECT_EQ(CreateError({Txn(0, 0, 1, 10, kNaN), Txn(1, 0, 1, 10)}),
+            "T0 has non-finite weight");
+  EXPECT_EQ(CreateError({Txn(0, 0, 1, 10, kInf)}), "T0 has non-finite weight");
+  EXPECT_EQ(CreateError({Txn(0, 0, 1, 10), Txn(1, 0, 1, kNaN)}),
+            "T1 has NaN deadline");
+  // An infinite deadline is legal: the transaction is never late.
+  EXPECT_EQ(CreateError({Txn(0, 0, 1, kInf)}), "ok");
 }
 
 TEST(SimulatorTest, EmptyWorkloadFinishesImmediately) {

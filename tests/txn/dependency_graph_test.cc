@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include "testing/fake_view.h"
+#include "testing/id_ranges.h"
 
 namespace webtx {
 namespace {
 
+using testing::ToVector;
 using testing::Txn;
 
 std::vector<TransactionSpec> Chain3() {
@@ -27,8 +29,8 @@ TEST(DependencyGraphTest, BuildsChain) {
   EXPECT_FALSE(graph.IsIndependent(1));
   EXPECT_TRUE(graph.IsRoot(2));
   EXPECT_FALSE(graph.IsRoot(0));
-  EXPECT_EQ(graph.successors(0), std::vector<TxnId>{1});
-  EXPECT_EQ(graph.predecessors(2), std::vector<TxnId>{1});
+  EXPECT_EQ(ToVector(graph.successors(0)), std::vector<TxnId>{1});
+  EXPECT_EQ(ToVector(graph.predecessors(2)), std::vector<TxnId>{1});
 }
 
 TEST(DependencyGraphTest, RootsOfForest) {
@@ -115,7 +117,8 @@ TEST(DependencyGraphTest, SuccessorsAreSorted) {
       Txn(3, 0, 1, 1, 1.0, {0})};
   auto g = DependencyGraph::Build(txns);
   ASSERT_TRUE(g.ok());
-  EXPECT_EQ(g.ValueOrDie().successors(0), (std::vector<TxnId>{1, 2, 3}));
+  EXPECT_EQ(ToVector(g.ValueOrDie().successors(0)),
+            (std::vector<TxnId>{1, 2, 3}));
 }
 
 }  // namespace

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "testing/fake_view.h"
+#include "testing/id_ranges.h"
 #include "txn/dependency_graph.h"
 
 namespace webtx {
 namespace {
 
+using testing::ToVector;
 using testing::Txn;
 
 WorkflowRegistry BuildRegistry(const std::vector<TransactionSpec>& txns) {
@@ -21,7 +23,7 @@ TEST(WorkflowTest, IndependentTransactionsAreSingletonWorkflows) {
       BuildRegistry({Txn(0, 0, 1, 1), Txn(1, 0, 1, 1), Txn(2, 0, 1, 1)});
   ASSERT_EQ(registry.num_workflows(), 3u);
   for (WorkflowId w = 0; w < 3; ++w) {
-    EXPECT_EQ(registry.workflow(w).members, std::vector<TxnId>{w});
+    EXPECT_EQ(ToVector(registry.workflow(w).members), std::vector<TxnId>{w});
     EXPECT_EQ(registry.workflow(w).root, w);
   }
   EXPECT_EQ(registry.max_workflow_size(), 1u);
@@ -34,7 +36,7 @@ TEST(WorkflowTest, ChainFormsSingleWorkflow) {
   ASSERT_EQ(registry.num_workflows(), 1u);
   const Workflow& wf = registry.workflow(0);
   EXPECT_EQ(wf.root, 2u);
-  EXPECT_EQ(wf.members, (std::vector<TxnId>{0, 1, 2}));
+  EXPECT_EQ(ToVector(wf.members), (std::vector<TxnId>{0, 1, 2}));
   EXPECT_EQ(registry.max_workflow_size(), 3u);
 }
 
@@ -53,14 +55,16 @@ TEST(WorkflowTest, PaperFigure1Structure) {
   });
   ASSERT_EQ(registry.num_workflows(), 2u);
   EXPECT_EQ(registry.workflow(0).root, 3u);
-  EXPECT_EQ(registry.workflow(0).members, (std::vector<TxnId>{0, 1, 2, 3}));
+  EXPECT_EQ(ToVector(registry.workflow(0).members),
+            (std::vector<TxnId>{0, 1, 2, 3}));
   EXPECT_EQ(registry.workflow(1).root, 6u);
-  EXPECT_EQ(registry.workflow(1).members, (std::vector<TxnId>{0, 4, 5, 6}));
+  EXPECT_EQ(ToVector(registry.workflow(1).members),
+            (std::vector<TxnId>{0, 4, 5, 6}));
 
   // The shared leaf T1 (id 0) belongs to both workflows.
-  EXPECT_EQ(registry.WorkflowsOf(0), (std::vector<WorkflowId>{0, 1}));
-  EXPECT_EQ(registry.WorkflowsOf(3), std::vector<WorkflowId>{0});
-  EXPECT_EQ(registry.WorkflowsOf(6), std::vector<WorkflowId>{1});
+  EXPECT_EQ(ToVector(registry.WorkflowsOf(0)), (std::vector<WorkflowId>{0, 1}));
+  EXPECT_EQ(ToVector(registry.WorkflowsOf(3)), std::vector<WorkflowId>{0});
+  EXPECT_EQ(ToVector(registry.WorkflowsOf(6)), std::vector<WorkflowId>{1});
 }
 
 TEST(WorkflowTest, TransitiveDependencyIncluded) {
@@ -69,7 +73,8 @@ TEST(WorkflowTest, TransitiveDependencyIncluded) {
                                        Txn(1, 0, 1, 1, 1.0, {0}),
                                        Txn(2, 0, 1, 1, 1.0, {0, 1})});
   ASSERT_EQ(registry.num_workflows(), 1u);
-  EXPECT_EQ(registry.workflow(0).members, (std::vector<TxnId>{0, 1, 2}));
+  EXPECT_EQ(ToVector(registry.workflow(0).members),
+            (std::vector<TxnId>{0, 1, 2}));
 }
 
 TEST(WorkflowTest, DiamondIsOneWorkflow) {
@@ -77,7 +82,8 @@ TEST(WorkflowTest, DiamondIsOneWorkflow) {
       {Txn(0, 0, 1, 1), Txn(1, 0, 1, 1, 1.0, {0}), Txn(2, 0, 1, 1, 1.0, {0}),
        Txn(3, 0, 1, 1, 1.0, {1, 2})});
   ASSERT_EQ(registry.num_workflows(), 1u);
-  EXPECT_EQ(registry.workflow(0).members, (std::vector<TxnId>{0, 1, 2, 3}));
+  EXPECT_EQ(ToVector(registry.workflow(0).members),
+            (std::vector<TxnId>{0, 1, 2, 3}));
   EXPECT_EQ(registry.workflow(0).root, 3u);
 }
 

@@ -109,22 +109,44 @@ TEST_F(TraceTest, NonDenseIdsRejected) {
 }
 
 TEST_F(TraceTest, GarbageNumbersRejected) {
+  // strtod reads "nan" and "inf"; only the deadline may be infinite.
+  for (const char* row :
+       {"0,zero,1,0,5,1,", "0,nan,1,0,5,1,", "0,inf,1,0,5,1,",
+        "0,0,nan,0,5,1,", "0,0,inf,0,5,1,", "0,0,1,nan,5,1,",
+        "0,0,1,inf,5,1,", "0,0,1,0,nan,1,", "0,0,1,0,5,nan,",
+        "0,0,1,0,5,inf,"}) {
+    {
+      std::ofstream out(path_);
+      out << "id,arrival,length,estimate,deadline,weight,deps\n"
+          << row << "\n";
+    }
+    EXPECT_FALSE(ReadTrace(path_).ok()) << row;
+  }
+}
+
+TEST_F(TraceTest, InfiniteDeadlineAccepted) {
   {
     std::ofstream out(path_);
     out << "id,arrival,length,estimate,deadline,weight,deps\n"
-        << "0,zero,1,0,5,1,\n";
+        << "0,0,1,0,inf,1,\n";
   }
-  EXPECT_FALSE(ReadTrace(path_).ok());
+  auto loaded = ReadTrace(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_GT(loaded.ValueOrDie()[0].deadline, 1e308);
 }
 
 TEST_F(TraceTest, GarbageDependencyRejected) {
-  {
-    std::ofstream out(path_);
-    out << "id,arrival,length,estimate,deadline,weight,deps\n"
-        << "0,0,1,0,5,1,\n"
-        << "1,0,1,0,5,1,0;x\n";
+  // 4294967296 and 4294967297 are 2^32 and 2^32 + 1: truncated to a
+  // TxnId they would name T0 and T1.
+  for (const char* deps : {"0;x", "4294967296", "0;4294967297"}) {
+    {
+      std::ofstream out(path_);
+      out << "id,arrival,length,estimate,deadline,weight,deps\n"
+          << "0,0,1,0,5,1,\n"
+          << "1,0,1,0,5,1," << deps << "\n";
+    }
+    EXPECT_FALSE(ReadTrace(path_).ok()) << deps;
   }
-  EXPECT_FALSE(ReadTrace(path_).ok());
 }
 
 TEST_F(TraceTest, CommentsAndBlankLinesIgnored) {
