@@ -18,9 +18,10 @@
 # direction, and a verdict: "gain" when B won at least nine tenths of
 # the pairs and its median beats A's by more than A's interquartile
 # distance, else one against the metric's bound ("unresolved" when A's
-# own interquartile spread is wider than the bound), then both sides'
-# host-stamp lines. Runs that are not `correct` and failed operations
-# are counted per side.
+# own interquartile spread is wider than the bound, unless every B run
+# beats every A run; any worsening from a median of 0 at A is "worse"),
+# then both sides' host-stamp lines. Runs that are not `correct` and
+# failed operations are counted per side.
 #
 # Writes nothing outside the worktrees and its temporary directory
 # (under $TMPDIR, removed on exit along with the worktrees).

@@ -12,10 +12,14 @@ per-pair B/A ratios, B's pair wins and a verdict, then both host-stamp
 lines. The verdict is "gain" when B wins at least nine tenths of the
 pairs (ties count for neither side) and B's median beats A's by more
 than A's interquartile distance; otherwise it is judged against the
-metric's bound ("worse", "unresolved" or "ok").
+metric's bound ("worse", "unresolved" or "ok"). A metric whose median
+moves away from 0 at A in the worse direction is "worse" whatever the
+bound, and an "unresolved" one reads "ok" when every B run beats every
+A run.
 """
 
 import json
+import math
 import statistics
 import sys
 
@@ -54,8 +58,10 @@ def main():
     # "gain" when B wins at least nine tenths of the pairs and its median
     # beats A's by more than A's interquartile distance; otherwise
     # "worse" when B's median is worse than A's by more than the metric's
-    # bound; "unresolved" when A's own interquartile spread (relative to
-    # its median) is already wider than the bound.
+    # bound (any worsening counts when A's median is 0, where no ratio
+    # exists); "unresolved" when A's own interquartile spread (relative
+    # to its median) is already wider than the bound, unless every B run
+    # beats every A run.
     print("%-24s %-33s %-33s %-7s %-9s %-7s %s" % (
         "metric", "A q1/median/q3", "B q1/median/q3", "B/A", "pair B/A",
         "B wins", "verdict"))
@@ -68,15 +74,23 @@ def main():
         higher = metric["better"] == "higher"
         wins = sum(1 for x, y in zip(a, b) if (y > x if higher else y < x))
         qa, qb = quartiles(a), quartiles(b)
-        ratio = qb[1] / qa[1] if qa[1] != 0 else 1.0
+        better_by = (qb[1] - qa[1]) if higher else (qa[1] - qb[1])
+        if qa[1] != 0:
+            ratio = qb[1] / qa[1]
+            worse_by = (1 - ratio) if higher else (ratio - 1)
+        else:
+            ratio = 1.0 if qb[1] == 0 else math.copysign(math.inf, qb[1])
+            worse_by = math.inf if better_by < 0 else 0.0
         pair_ratios = [y / x for x, y in zip(a, b) if x != 0]
         pair_ratio = statistics.median(pair_ratios) if pair_ratios else 1.0
-        worse_by = (1 - ratio) if higher else (ratio - 1)
-        better_by = (qb[1] - qa[1]) if higher else (qa[1] - qb[1])
         spread = (qa[2] - qa[0]) / abs(qa[1]) if qa[1] != 0 else 0.0
+        b_beats_all = (min(b) > max(a)) if higher else (max(b) < min(a))
         if wins * 10 >= pairs * 9 and better_by > qa[2] - qa[0]:
             verdict = "gain (by %.4g > A's interquartile %.4g)" % (
                 better_by, qa[2] - qa[0])
+        elif spread > metric["bound"] and b_beats_all:
+            verdict = ("ok (spread %.3f > bound %g, every B run beats "
+                       "every A run)" % (spread, metric["bound"]))
         elif spread > metric["bound"]:
             verdict = "unresolved (spread %.3f > bound %g)" % (
                 spread, metric["bound"])

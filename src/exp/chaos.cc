@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <iterator>
 #include <utility>
 #include <vector>
 
+#include "common/digest.h"
 #include "common/rng.h"
 #include "sched/admission.h"
 #include "sched/policy_factory.h"
@@ -27,22 +27,6 @@ Result<std::vector<TransactionSpec>> GenerateWorkload(const ChaosCase& c) {
   WEBTX_ASSIGN_OR_RETURN(WorkloadGenerator gen,
                          WorkloadGenerator::Create(c.workload));
   return gen.Generate(c.workload_seed);
-}
-
-// One FNV-1a step per byte of `v`, little-endian, so the digest is
-// platform-stable.
-uint64_t Fnv1a(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-uint64_t Bits(double d) {
-  uint64_t u;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
 }
 
 // The draw ordinal of the `index`-th surviving window on `server`:
@@ -272,19 +256,19 @@ Status CheckChaosInvariants(const ChaosCase& c, const RunResult& result) {
 }
 
 uint64_t ScheduleDigest(const RunResult& result) {
-  uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
+  uint64_t h = kFnvOffsetBasis;
   h = Fnv1a(h, result.schedule.size());
   for (const ScheduleSegment& s : result.schedule) {
     h = Fnv1a(h, s.txn);
     h = Fnv1a(h, s.server);
-    h = Fnv1a(h, Bits(s.start));
-    h = Fnv1a(h, Bits(s.end));
+    h = Fnv1a(h, DoubleBits(s.start));
+    h = Fnv1a(h, DoubleBits(s.end));
     h = Fnv1a(h, s.attempt);
   }
   h = Fnv1a(h, result.outcomes.size());
   for (const TxnOutcome& o : result.outcomes) {
     h = Fnv1a(h, static_cast<uint64_t>(o.fate));
-    h = Fnv1a(h, Bits(o.finish));
+    h = Fnv1a(h, DoubleBits(o.finish));
     h = Fnv1a(h, o.aborts);
     h = Fnv1a(h, o.migrations);
   }

@@ -1,11 +1,13 @@
 #include "rt/executor.h"
 
 #include <algorithm>
-#include <cstring>
+#include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
+#include "common/digest.h"
 
 namespace webtx::rt {
 
@@ -14,12 +16,6 @@ namespace {
 /// Smoothing factor of the executor-level load EWMAs exported in
 /// ExecutorStats (independent of any admission controller's own).
 constexpr double kStatsAlpha = 0.2;
-
-uint64_t Bits(double value) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof bits);
-  return bits;
-}
 
 }  // namespace
 
@@ -126,6 +122,19 @@ Result<TxnId> Executor::Submit(TaskSpec task) {
         "exactly one of fn, cancellable_fn and simulated_duration "
         "must be set");
   }
+  // NaN passes every ordered comparison, and a NaN or infinite duration,
+  // timeout or backoff stalls the run, so these must be finite. The
+  // cost, weight and deadline go through CheckFinite below.
+  const std::pair<const char*, double> knobs[] = {
+      {"simulated_duration", task.simulated_duration},
+      {"timeout_seconds", task.timeout_seconds},
+      {"retry_backoff_seconds", task.retry_backoff_seconds},
+      {"backoff_multiplier", task.backoff_multiplier}};
+  for (const auto& [name, value] : knobs) {
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument(std::string(name) + " must be finite");
+    }
+  }
   if (task.simulated_duration < 0.0) {
     return Status::InvalidArgument("simulated_duration must be >= 0");
   }
@@ -156,18 +165,19 @@ Result<TxnId> Executor::Submit(TaskSpec task) {
   }
 
   const double now = clock_->Now();
-  // Catch up on fault windows and due timers BEFORE the arrival so slot
-  // up/down state (which admission reads through num_servers_up) is
-  // current as of `now`.
-  PumpTimedEventsLocked(now);
-
   TransactionSpec spec;
   spec.id = id;
   spec.arrival = now;
   spec.length = task.estimated_cost;
   spec.deadline = now + task.relative_deadline;
   spec.weight = task.weight;
+  WEBTX_RETURN_NOT_OK(CheckFinite(spec));
   spec.dependencies = task.dependencies;
+
+  // Catch up on fault windows and due timers BEFORE the arrival so slot
+  // up/down state (which admission reads through num_servers_up) is
+  // current as of `now`.
+  PumpTimedEventsLocked(now);
 
   uint32_t unmet = 0;
   bool dead_dependency = false;
@@ -206,7 +216,7 @@ Result<TxnId> Executor::Submit(TaskSpec task) {
   stats_.ready_depth_ewma =
       (1.0 - kStatsAlpha) * stats_.ready_depth_ewma + kStatsAlpha * depth;
   RecordLocked(now, LiveEventKind::kSubmit, id, LiveTraceEvent::kNoSlot, 0,
-               Bits(specs_[id].weight));
+               DoubleBits(specs_[id].weight));
 
   if (dead_dependency) {
     // Accepted but dead on arrival; the policy never hears of it.
@@ -225,7 +235,8 @@ Result<TxnId> Executor::Submit(TaskSpec task) {
         ++stats_.admission_defers;
         deferred_.push_back(DelayedEntry{now + decision.defer_delay, id});
         RecordLocked(now, LiveEventKind::kDeferArrival, id,
-                     LiveTraceEvent::kNoSlot, 0, Bits(decision.defer_delay));
+                     LiveTraceEvent::kNoSlot, 0,
+                     DoubleBits(decision.defer_delay));
         clock_->NotifyAll(work_available_);  // waiters recompute their due
         return id;
       case AdmissionDecision::Action::kAdmit:
@@ -521,7 +532,7 @@ void Executor::DispatchOneLocked(std::unique_lock<std::mutex>& lock) {
   if (spike > 0.0) {
     ++stats_.latency_spikes;
     RecordLocked(now, LiveEventKind::kLatencySpike, id, attempt.slot,
-                 outcome.attempts, Bits(spike));
+                 outcome.attempts, DoubleBits(spike));
   }
 
   const uint64_t serial = attempt.serial;
@@ -706,7 +717,8 @@ void Executor::HandleAttemptFailureLocked(TxnId id, TaskResult failure,
   } else {
     delayed_.push_back(DelayedEntry{now + delay, id});
     RecordLocked(now, LiveEventKind::kRetryScheduled, id,
-                 LiveTraceEvent::kNoSlot, outcome.attempts, Bits(delay));
+                 LiveTraceEvent::kNoSlot, outcome.attempts,
+                 DoubleBits(delay));
   }
 }
 
@@ -915,7 +927,8 @@ void Executor::ReleaseDueDeferred(double now) {
         deferred_.push_back(
             DelayedEntry{now + decision.defer_delay, entry.id});
         RecordLocked(now, LiveEventKind::kDeferArrival, entry.id,
-                     LiveTraceEvent::kNoSlot, 0, Bits(decision.defer_delay));
+                     LiveTraceEvent::kNoSlot, 0,
+                     DoubleBits(decision.defer_delay));
         break;
       case AdmissionDecision::Action::kAdmit:
         announced_[entry.id] = 1;

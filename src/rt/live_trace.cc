@@ -1,29 +1,12 @@
 #include "rt/live_trace.h"
 
 #include <algorithm>
-#include <cstring>
 #include <tuple>
+
+#include "common/digest.h"
 
 namespace webtx::rt {
 namespace {
-
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-
-uint64_t Fnv1a(uint64_t hash, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xffu;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-uint64_t Bits(double value) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
 
 auto CanonicalKey(const LiveTraceEvent& e) {
   return std::make_tuple(e.time, e.txn, static_cast<uint8_t>(e.kind), e.slot,
@@ -38,10 +21,10 @@ uint64_t LiveTraceDigest(const std::vector<LiveTraceEvent>& events) {
             [](const LiveTraceEvent& a, const LiveTraceEvent& b) {
               return CanonicalKey(a) < CanonicalKey(b);
             });
-  uint64_t hash = kFnvOffset;
+  uint64_t hash = kFnvOffsetBasis;
   hash = Fnv1a(hash, sorted.size());
   for (const LiveTraceEvent& e : sorted) {
-    hash = Fnv1a(hash, Bits(e.time));
+    hash = Fnv1a(hash, DoubleBits(e.time));
     hash = Fnv1a(hash, static_cast<uint64_t>(e.kind));
     hash = Fnv1a(hash, e.txn);
     hash = Fnv1a(hash, e.slot);

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <optional>
 #include <sstream>
 
 #include "common/check.h"
+#include "common/digest.h"
 #include "common/sim_time.h"
 
 namespace webtx::rt {
@@ -16,12 +16,6 @@ namespace {
 /// Tolerance of exact-instant comparisons. Virtual-clock timelines are
 /// computed, not measured, so everything lands within rounding error.
 constexpr double kEps = 1e-6;
-
-double BitsToDouble(uint64_t bits) {
-  double value = 0.0;
-  std::memcpy(&value, &bits, sizeof value);
-  return value;
-}
 
 /// Same-instant apply order of the executor, reconstructed for the
 /// sorted replay of the trace: slot state changes land first (workers

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <utility>
 
 #include "common/check.h"
+#include "common/digest.h"
 #include "common/rng.h"
 #include "rt/clock.h"
 #include "sched/policy_factory.h"
@@ -23,23 +23,6 @@ constexpr uint64_t kForecastStream = 0x7D161A17ull;
 /// Smallest service time the shadow simulator is fed (mirrors the live
 /// harness floor in workload/live_arrivals.cc).
 constexpr double kMinForecastSeconds = 1e-4;
-
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-
-uint64_t Fnv1a(uint64_t hash, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xffu;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-uint64_t Bits(double value) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
 
 double ExpDraw(Rng& rng, double mean) {
   return -mean * std::log1p(-rng.NextDouble());
@@ -455,14 +438,14 @@ uint64_t TwinDigest(const TwinReport& report) {
   uint64_t hash = LiveTraceDigest(report.trace);
   hash = Fnv1a(hash, report.decisions.size());
   for (const TwinDecision& d : report.decisions) {
-    hash = Fnv1a(hash, Bits(d.time));
+    hash = Fnv1a(hash, DoubleBits(d.time));
     hash = Fnv1a(hash, static_cast<uint64_t>(d.kind));
     hash = Fnv1a(hash, d.applied);
     hash = Fnv1a(hash, d.best);
-    hash = Fnv1a(hash, Bits(d.predicted_tardiness));
-    hash = Fnv1a(hash, Bits(d.predicted_shed_ratio));
-    hash = Fnv1a(hash, Bits(d.observed_tardiness));
-    hash = Fnv1a(hash, Bits(d.observed_shed_ratio));
+    hash = Fnv1a(hash, DoubleBits(d.predicted_tardiness));
+    hash = Fnv1a(hash, DoubleBits(d.predicted_shed_ratio));
+    hash = Fnv1a(hash, DoubleBits(d.observed_tardiness));
+    hash = Fnv1a(hash, DoubleBits(d.observed_shed_ratio));
   }
   return hash;
 }

@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
@@ -89,9 +90,18 @@ Result<Simulator> Simulator::CreateShared(
   if (options.retry.max_attempts < 1) {
     return Status::InvalidArgument("retry.max_attempts must be >= 1");
   }
-  if (options.retry.backoff < 0.0 || options.retry.backoff_multiplier < 0.0 ||
-      options.retry.max_backoff < 0.0) {
-    return Status::InvalidArgument("retry backoff must be non-negative");
+  // NaN passes every ordered comparison, and a NaN or infinite delay
+  // stalls or hangs the event loop, so each knob must be finite too.
+  const std::pair<const char*, double> knobs[] = {
+      {"context_switch_cost", options.context_switch_cost},
+      {"retry.backoff", options.retry.backoff},
+      {"retry.backoff_multiplier", options.retry.backoff_multiplier},
+      {"retry.max_backoff", options.retry.max_backoff}};
+  for (const auto& [name, value] : knobs) {
+    if (!std::isfinite(value) || value < 0.0) {
+      return Status::InvalidArgument(std::string(name) +
+                                     " must be finite and non-negative");
+    }
   }
   return Simulator(std::move(workload), std::move(options));
 }
@@ -493,7 +503,7 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
 
     // Horizon-bounded runs stop before the first event past the cutoff;
     // everything unresolved stays unresolved and is aggregated as such
-    // below (FromPrefixOutcomes).
+    // below (FromOutcomesView's resolved mask).
     if (run_horizon > 0.0 && best.time > run_horizon) {
       horizon_cut = true;
       break;
@@ -807,21 +817,14 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
     }
   }
 
-  // record_outcomes steals the scratch outcomes buffer into the result
-  // (the caller keeps the arrays); the view path aggregates in place and
-  // leaves the buffer with the scratch arena for the next run. A
-  // horizon-bounded run must not read unresolved outcomes (their fate
-  // field is default-initialized), so it takes the prefix aggregator.
-  RunResult result;
-  if (horizon_cut) {
-    result =
-        RunResult::FromPrefixOutcomes(policy.name(), specs, outcomes, finished_);
-    if (options_.record_outcomes) result.outcomes = std::move(outcomes);
-  } else if (options_.record_outcomes) {
-    result = RunResult::FromOutcomes(policy.name(), specs, std::move(outcomes));
-  } else {
-    result = RunResult::FromOutcomesView(policy.name(), specs, outcomes);
-  }
+  // The fold aggregates in place; record_outcomes then steals the
+  // scratch outcomes buffer into the result, otherwise the buffer stays
+  // with the scratch arena for the next run. A horizon-bounded run must
+  // not read unresolved outcomes (their fate field is
+  // default-initialized), so it passes the resolved mask.
+  RunResult result = RunResult::FromOutcomesView(
+      policy.name(), specs, outcomes, horizon_cut ? &finished_ : nullptr);
+  if (options_.record_outcomes) result.outcomes = std::move(outcomes);
   result.num_scheduling_points = scheduling_points;
   result.num_preemptions = preemptions;
   result.num_idle_decisions = idle_decisions;

@@ -114,10 +114,10 @@ struct SimOptions {
   AdmissionFactory admission;
   /// Simulated-time cutoff (0 = run to completion, the default). When
   /// > 0, Run stops before processing the first event past this instant
-  /// and aggregates via RunResult::FromPrefixOutcomes: transactions
-  /// unresolved at the cutoff count against goodput / miss ratio and
-  /// stay out of the tardiness aggregates. Unlike every other knob in
-  /// this struct, a bounded run's metrics are NOT those of the
+  /// and aggregates via RunResult::FromOutcomesView's resolved mask:
+  /// transactions unresolved at the cutoff count against goodput / miss
+  /// ratio and stay out of the tardiness aggregates. Unlike every other
+  /// knob in this struct, a bounded run's metrics are NOT those of the
   /// unbounded run — this is a ranking signal for what-if forecasts
   /// scored on identical cutoffs (the twin's successive-halving prune),
   /// priced at a fraction of the full event count. Ignored by

@@ -1,124 +1,20 @@
 #include "workload/streaming_generator.h"
 
-#include <algorithm>
-
 #include "common/check.h"
+#include "workload/generator.h"
 
 namespace webtx {
 
 Result<StreamingWorkloadGenerator> StreamingWorkloadGenerator::Create(
     const WorkloadSpec& spec, uint64_t seed) {
-  WEBTX_RETURN_NOT_OK(spec.Validate());
-  return StreamingWorkloadGenerator(spec, seed);
-}
-
-StreamingWorkloadGenerator::StreamingWorkloadGenerator(
-    const WorkloadSpec& spec, uint64_t seed)
-    : spec_(spec),
-      length_dist_(spec.max_length - spec.min_length + 1, spec.zipf_alpha),
-      slack_factor_(0.0, spec.k_max),
-      weight_dist_(spec.min_weight, spec.max_weight),
-      chain_length_dist_(1, static_cast<uint64_t>(spec.max_workflow_length)),
-      chains_per_txn_dist_(1,
-                           static_cast<uint64_t>(spec.max_workflows_per_txn)),
-      estimate_factor_(1.0 - spec.estimate_error, 1.0 + spec.estimate_error),
-      pass1_rng_(seed),
-      pass2_rng_(seed),
-      estimate_rng_(seed ^ 0x9e3779b97f4a7c15ULL),
-      arrivals_(MakeArrivalProcess(spec.ArrivalRate(), spec.burstiness)) {
-  // Fast-forward pass2_rng_ through the batch generator's complete
-  // scalar pass: the SAME Sample/Next call sequence (draw counts are
-  // data-dependent inside the samplers, so only replaying the calls —
-  // not counting draws — lands on the right stream position), values
-  // discarded. Uses a throwaway arrival process; the member one is
-  // consumed by the lazy pass-1 replay.
-  const std::unique_ptr<ArrivalProcess> ff_arrivals =
-      MakeArrivalProcess(spec_.ArrivalRate(), spec_.burstiness);
-  for (size_t i = 0; i < spec_.num_transactions; ++i) {
-    (void)length_dist_.Sample(pass2_rng_);
-    (void)ff_arrivals->Next(pass2_rng_);
-    (void)slack_factor_.Sample(pass2_rng_);
-    (void)weight_dist_.Sample(pass2_rng_);
-  }
+  WEBTX_ASSIGN_OR_RETURN(WorkloadGenerator gen,
+                         WorkloadGenerator::Create(spec));
+  return StreamingWorkloadGenerator(gen.Generate(seed));
 }
 
 TransactionSpec StreamingWorkloadGenerator::Next() {
   WEBTX_CHECK(!Done());
-  const size_t i = next_;
-  TransactionSpec t;
-  t.id = static_cast<TxnId>(i);
-
-  // Scalar pass for this transaction (batch pass 1, replayed lazily).
-  t.length = static_cast<SimTime>(spec_.min_length - 1 +
-                                  length_dist_.Sample(pass1_rng_));
-  t.arrival = arrivals_->Next(pass1_rng_);
-  const double slack = slack_factor_.Sample(pass1_rng_);
-  t.weight = static_cast<double>(weight_dist_.Sample(pass1_rng_));
-  if (spec_.estimate_error > 0.0) {
-    t.length_estimate =
-        std::max(0.1, t.length * estimate_factor_.Sample(estimate_rng_));
-  }
-
-  // Topology pass (batch pass 2, byte-for-byte logic, pass2_rng_).
-  const size_t want =
-      static_cast<size_t>(chains_per_txn_dist_.Sample(pass2_rng_));
-  joined_.clear();
-  while (joined_.size() < want && joined_.size() < open_.size()) {
-    const size_t pick = static_cast<size_t>(
-        pass2_rng_.NextInRange(0, static_cast<uint64_t>(open_.size() - 1)));
-    if (std::find(joined_.begin(), joined_.end(), pick) == joined_.end()) {
-      joined_.push_back(pick);
-    }
-  }
-  while (joined_.size() < want) {
-    // opened_at is the RAW arrival: chains are opened before the batched
-    // rewrite below, exactly as in the batch generator.
-    open_.push_back(OpenChain{
-        static_cast<size_t>(chain_length_dist_.Sample(pass2_rng_)), 0,
-        kInvalidTxn, t.arrival, 0.0});
-    joined_.push_back(open_.size() - 1);
-  }
-
-  SimTime batched_arrival = t.arrival;
-  SimTime pred_frontier = 0.0;
-  for (const size_t c : joined_) {
-    OpenChain& chain = open_[c];
-    if (chain.last != kInvalidTxn) {
-      t.dependencies.push_back(chain.last);
-      pred_frontier = std::max(pred_frontier, chain.frontier);
-    }
-    batched_arrival = std::min(batched_arrival, chain.opened_at);
-  }
-  if (spec_.batch_workflow_arrivals) {
-    t.arrival = batched_arrival;
-  }
-  const SimTime earliest_finish =
-      std::max(t.arrival, pred_frontier) + t.length;
-  for (const size_t c : joined_) {
-    OpenChain& chain = open_[c];
-    chain.last = static_cast<TxnId>(i);
-    ++chain.current_length;
-    chain.frontier = earliest_finish;
-  }
-  std::sort(t.dependencies.begin(), t.dependencies.end());
-  t.dependencies.erase(
-      std::unique(t.dependencies.begin(), t.dependencies.end()),
-      t.dependencies.end());
-  for (size_t c = open_.size(); c-- > 0;) {
-    if (open_[c].current_length >= open_[c].target_length) {
-      open_[c] = open_.back();
-      open_.pop_back();
-    }
-  }
-
-  // Deadline (batch pass 3; no draws, so it folds into this call).
-  const SimTime base = spec_.deadline_model == DeadlineModel::kPathAware
-                           ? earliest_finish
-                           : t.arrival + t.length;
-  t.deadline = base + slack * t.length;
-
-  ++next_;
-  return t;
+  return std::move(txns_[next_++]);
 }
 
 }  // namespace webtx

@@ -3,105 +3,35 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
-#include "common/distributions.h"
 #include "common/result.h"
-#include "common/rng.h"
 #include "txn/transaction.h"
-#include "workload/arrival_process.h"
 #include "workload/spec.h"
 
 namespace webtx {
 
-/// Open-system workload generator that materializes transactions one at
-/// a time, in id order, BIT-IDENTICAL to WorkloadGenerator::Generate
-/// for the same (spec, seed) — pinned by
-/// tests/workload/streaming_generator_test.cc across the spec matrix.
-/// A 10^7-transaction run can therefore stream its arrivals instead of
-/// holding the full population in generator-side arrays: peak state is
-/// O(open workflow chains), not O(n).
-///
-/// ## Why bit-identity is non-trivial
-///
-/// The batch generator draws in three passes over ONE RNG: all
-/// per-transaction scalars first (length, arrival, slack, weight), then
-/// all topology draws (chain counts, chain picks via rejection,
-/// chain lengths). Draw counts are data-dependent (rejection loops), so
-/// a naive "interleave passes per transaction" generator would consume
-/// the stream in a different order and diverge. This class instead runs
-/// TWO same-seeded RNG streams:
-///
-///   - `pass1_rng_` replays the scalar pass lazily, one transaction per
-///     Next() call;
-///   - `pass2_rng_` was fast-forwarded at construction through the
-///     complete scalar-pass draw sequence (values discarded, O(1)
-///     memory), leaving it positioned exactly where the batch
-///     generator's topology pass begins; Next() then consumes it with
-///     the identical per-transaction topology logic.
-///
-/// Estimates replay the batch generator's separate estimate stream.
-/// Deadlines need no draws (slack was a scalar-pass value), so the
-/// batch generator's third pass folds into Next() directly.
-///
-/// The construction-time fast-forward costs one linear sweep of RNG
-/// draws (no allocation); every Next() after that is O(open chains).
+/// A cursor over WorkloadGenerator::Generate(seed): Next() hands out the
+/// generated transactions in id order. It holds the whole vector, so it
+/// saves no memory over Generate; new code calls Generate directly.
 class StreamingWorkloadGenerator {
  public:
-  /// Validates the spec and positions both RNG streams.
+  /// Validates the spec and generates the workload.
   static Result<StreamingWorkloadGenerator> Create(const WorkloadSpec& spec,
                                                    uint64_t seed);
 
-  StreamingWorkloadGenerator(StreamingWorkloadGenerator&&) = default;
-  StreamingWorkloadGenerator& operator=(StreamingWorkloadGenerator&&) =
-      default;
+  bool Done() const { return next_ >= txns_.size(); }
 
-  size_t num_transactions() const { return spec_.num_transactions; }
-
-  /// Transactions produced so far; the next Next() returns id produced().
-  size_t produced() const { return next_; }
-
-  bool Done() const { return next_ >= spec_.num_transactions; }
-
-  /// The next transaction, identical to element produced() of the batch
-  /// generator's vector. Must not be called when Done().
+  /// Moves out the next transaction. Must not be called when Done().
   TransactionSpec Next();
 
-  /// Number of workflow chains currently under construction — the
-  /// generator's only population-dependent state (tests/introspection).
-  size_t open_chains() const { return open_.size(); }
-
-  const WorkloadSpec& spec() const { return spec_; }
-
  private:
-  /// A workflow chain under construction (mirrors the batch generator).
-  struct OpenChain {
-    size_t target_length;
-    size_t current_length = 0;
-    TxnId last = kInvalidTxn;
-    SimTime opened_at = 0.0;  // page-request instant for batch arrivals
-    SimTime frontier = 0.0;   // earliest possible finish of the last member
-  };
+  explicit StreamingWorkloadGenerator(std::vector<TransactionSpec> txns)
+      : txns_(std::move(txns)) {}
 
-  StreamingWorkloadGenerator(const WorkloadSpec& spec, uint64_t seed);
-
-  WorkloadSpec spec_;
-  ZipfDistribution length_dist_;
-  UniformRealDistribution slack_factor_;
-  UniformIntDistribution weight_dist_;
-  UniformIntDistribution chain_length_dist_;
-  UniformIntDistribution chains_per_txn_dist_;
-  UniformRealDistribution estimate_factor_;
-
-  Rng pass1_rng_;     // replays the scalar pass lazily
-  Rng pass2_rng_;     // pre-advanced to the topology pass
-  Rng estimate_rng_;  // the batch generator's independent estimate stream
-  std::unique_ptr<ArrivalProcess> arrivals_;  // consumed by pass1_rng_
-
+  std::vector<TransactionSpec> txns_;
   size_t next_ = 0;
-  std::vector<OpenChain> open_;
-  std::vector<size_t> joined_;  // scratch: chains joined by this txn
 };
 
 }  // namespace webtx

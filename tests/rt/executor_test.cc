@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -165,6 +167,59 @@ TEST(ExecutorTest, SubmitValidation) {
   TaskSpec bad_dep = Quick([] {});
   bad_dep.dependencies = {42};
   EXPECT_FALSE(executor.Submit(bad_dep).ok());
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(ExecutorTest, SubmitRejectsNonFiniteNumbers) {
+  // NaN passes every ordered comparison: an accepted NaN deadline reads
+  // as zero tardiness, and a NaN or infinite duration, timeout or
+  // backoff stalls the executor. Nothing is accepted, so every rejected
+  // task would have been T0.
+  Executor executor(Policy("EDF"), {});
+  // Submits Quick([] {}) after `set` edits it; "ok" or the error message.
+  const auto error = [&executor](void (*set)(TaskSpec&)) -> std::string {
+    TaskSpec task = Quick([] {});
+    set(task);
+    auto id = executor.Submit(std::move(task));
+    return id.ok() ? "ok" : id.status().message();
+  };
+  EXPECT_EQ(error([](TaskSpec& t) { t.relative_deadline = kNaN; }),
+            "T0 has NaN deadline");
+  EXPECT_EQ(error([](TaskSpec& t) { t.weight = kNaN; }),
+            "T0 has non-finite weight");
+  EXPECT_EQ(error([](TaskSpec& t) { t.weight = kInf; }),
+            "T0 has non-finite weight");
+  EXPECT_EQ(error([](TaskSpec& t) { t.estimated_cost = kNaN; }),
+            "T0 has non-finite length");
+  EXPECT_EQ(error([](TaskSpec& t) { t.estimated_cost = kInf; }),
+            "T0 has non-finite length");
+  EXPECT_EQ(error([](TaskSpec& t) { t.simulated_duration = kNaN; }),
+            "simulated_duration must be finite");
+  EXPECT_EQ(error([](TaskSpec& t) {
+              t.fn = nullptr;
+              t.simulated_duration = kInf;
+            }),
+            "simulated_duration must be finite");
+  EXPECT_EQ(error([](TaskSpec& t) { t.timeout_seconds = kNaN; }),
+            "timeout_seconds must be finite");
+  EXPECT_EQ(error([](TaskSpec& t) { t.timeout_seconds = kInf; }),
+            "timeout_seconds must be finite");
+  EXPECT_EQ(error([](TaskSpec& t) { t.retry_backoff_seconds = kNaN; }),
+            "retry_backoff_seconds must be finite");
+  EXPECT_EQ(error([](TaskSpec& t) { t.retry_backoff_seconds = kInf; }),
+            "retry_backoff_seconds must be finite");
+  EXPECT_EQ(error([](TaskSpec& t) { t.backoff_multiplier = kNaN; }),
+            "backoff_multiplier must be finite");
+  EXPECT_EQ(error([](TaskSpec& t) { t.backoff_multiplier = kInf; }),
+            "backoff_multiplier must be finite");
+  // An infinite deadline stays legal, as in CheckFinite: the task is
+  // never late.
+  EXPECT_EQ(error([](TaskSpec& t) { t.relative_deadline = kInf; }), "ok");
+  // Not the destructor's drain: were the infinite simulated_duration
+  // accepted, its attempt would sleep forever.
+  executor.ShutdownNow();
 }
 
 TEST(ExecutorTest, SubmitAfterShutdownFails) {

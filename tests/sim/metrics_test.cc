@@ -69,9 +69,57 @@ TEST(MetricsTest, MaxWeightedTardinessCanComeFromLowTardiness) {
   EXPECT_EQ(r.max_weighted_tardiness, 10.0);
 }
 
+TEST(MetricsTest, ResolvedMaskKeepsUnresolvedOutOfTheAggregates) {
+  // A horizon-bounded run leaves its unresolved transactions with
+  // default outcomes: fate kCompleted and zero tardiness. Through the
+  // mask they count against goodput and the miss ratio, and stay out of
+  // the completed count and the tardiness and response aggregates.
+  const std::vector<TransactionSpec> specs = {
+      Txn(0, 0, 1, 10), Txn(1, 0, 1, 10), Txn(2, 0, 1, 10), Txn(3, 0, 1, 10),
+      Txn(4, 0, 1, 10)};
+  std::vector<TxnOutcome> outcomes(5);
+  outcomes[0] = {.finish = 12.0,
+                 .tardiness = 2.0,
+                 .weighted_tardiness = 2.0,
+                 .response = 12.0,
+                 .missed_deadline = true};
+  outcomes[1] = {.finish = 6.0,
+                 .tardiness = 0.0,
+                 .weighted_tardiness = 0.0,
+                 .response = 6.0,
+                 .missed_deadline = false};
+  outcomes[2].aborts = 1;  // aborted once, still in flight at the cutoff
+  outcomes[4] = {.finish = 1.0,
+                 .missed_deadline = true,
+                 .fate = TxnFate::kShedAdmission};
+  const std::vector<char> resolved = {1, 1, 0, 0, 1};
+  const RunResult r =
+      RunResult::FromOutcomesView("P", specs, outcomes, &resolved);
+  EXPECT_EQ(r.num_completed, 2u);
+  EXPECT_EQ(r.num_shed, 1u);
+  EXPECT_EQ(r.num_aborts, 1u);  // per-event counters count in flight too
+  EXPECT_DOUBLE_EQ(r.goodput, 2.0 / 5.0);
+  EXPECT_DOUBLE_EQ(r.miss_ratio, 4.0 / 5.0);  // T0 tardy, T2, T3, T4
+  EXPECT_DOUBLE_EQ(r.avg_tardiness, 1.0);     // over T0 and T1 only
+  EXPECT_DOUBLE_EQ(r.avg_weighted_tardiness, 1.0);
+  EXPECT_DOUBLE_EQ(r.avg_response, 9.0);
+  EXPECT_EQ(r.max_tardiness, 2.0);
+  EXPECT_EQ(r.makespan, 12.0);
+  EXPECT_TRUE(r.outcomes.empty());
+
+  // Unmasked, the same outcomes read as four zero-tardiness completions.
+  const RunResult unmasked = RunResult::FromOutcomesView("P", specs, outcomes);
+  EXPECT_EQ(unmasked.num_completed, 4u);
+  EXPECT_DOUBLE_EQ(unmasked.avg_tardiness, 0.5);
+}
+
 TEST(MetricsDeathTest, SizeMismatchAborts) {
   const std::vector<TransactionSpec> specs = {Txn(0, 0, 1, 10)};
   EXPECT_DEATH(RunResult::FromOutcomes("P", specs, {}), "CHECK failed");
+  const std::vector<TxnOutcome> outcomes(1);
+  const std::vector<char> resolved;
+  EXPECT_DEATH(RunResult::FromOutcomesView("P", specs, outcomes, &resolved),
+               "CHECK failed");
 }
 
 }  // namespace

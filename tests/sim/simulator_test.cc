@@ -254,6 +254,49 @@ TEST(SimulatorTest, CreateRejectsBadWorkloads) {
   EXPECT_EQ(CreateError({Txn(0, 0, 1, kInf)}), "ok");
 }
 
+/// Create over one transaction after `set` edits the options; "ok" or
+/// the error message.
+std::string OptionsError(void (*set)(SimOptions&)) {
+  SimOptions options;
+  set(options);
+  auto sim = Simulator::Create({Txn(0, 0, 1, 10)}, options);
+  return sim.ok() ? "ok" : sim.status().message();
+}
+
+TEST(SimulatorTest, CreateRejectsNegativeOrNonFiniteKnobs) {
+  // NaN passes every ordered comparison. Accepted, a negative switch
+  // cost dispatches T0 before its arrival, a NaN switch cost or backoff
+  // hangs the run, an infinite switch cost makes tardiness infinite and
+  // an infinite backoff stalls the run.
+  const std::string cost =
+      "context_switch_cost must be finite and non-negative";
+  EXPECT_EQ(OptionsError([](SimOptions& o) { o.context_switch_cost = -1; }),
+            cost);
+  EXPECT_EQ(OptionsError([](SimOptions& o) { o.context_switch_cost = kNaN; }),
+            cost);
+  EXPECT_EQ(OptionsError([](SimOptions& o) { o.context_switch_cost = kInf; }),
+            cost);
+  const std::string backoff = "retry.backoff must be finite and non-negative";
+  EXPECT_EQ(OptionsError([](SimOptions& o) { o.retry.backoff = kNaN; }),
+            backoff);
+  EXPECT_EQ(OptionsError([](SimOptions& o) { o.retry.backoff = kInf; }),
+            backoff);
+  const std::string multiplier =
+      "retry.backoff_multiplier must be finite and non-negative";
+  EXPECT_EQ(
+      OptionsError([](SimOptions& o) { o.retry.backoff_multiplier = kNaN; }),
+      multiplier);
+  EXPECT_EQ(
+      OptionsError([](SimOptions& o) { o.retry.backoff_multiplier = kInf; }),
+      multiplier);
+  const std::string max_backoff =
+      "retry.max_backoff must be finite and non-negative";
+  EXPECT_EQ(OptionsError([](SimOptions& o) { o.retry.max_backoff = kNaN; }),
+            max_backoff);
+  EXPECT_EQ(OptionsError([](SimOptions& o) { o.retry.max_backoff = kInf; }),
+            max_backoff);
+}
+
 TEST(SimulatorTest, EmptyWorkloadFinishesImmediately) {
   auto sim = Simulator::Create({});
   ASSERT_TRUE(sim.ok());

@@ -1,9 +1,12 @@
 #include "workload/generator.h"
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/digest.h"
 #include "txn/dependency_graph.h"
 #include "txn/workflow.h"
 
@@ -106,6 +109,95 @@ TEST(GeneratorTest, DeterministicPerSeed) {
     EXPECT_EQ(a[i].deadline, b[i].deadline);
     EXPECT_EQ(a[i].weight, b[i].weight);
     EXPECT_EQ(a[i].dependencies, b[i].dependencies);
+  }
+}
+
+/// Order-sensitive digest of every field of a generated workload, bit
+/// for bit.
+uint64_t WorkloadDigest(const std::vector<TransactionSpec>& txns) {
+  uint64_t h = Fnv1a(kFnvOffsetBasis, txns.size());
+  for (const TransactionSpec& t : txns) {
+    h = Fnv1a(h, t.id);
+    h = Fnv1a(h, DoubleBits(t.arrival));
+    h = Fnv1a(h, DoubleBits(t.length));
+    h = Fnv1a(h, DoubleBits(t.length_estimate));
+    h = Fnv1a(h, DoubleBits(t.deadline));
+    h = Fnv1a(h, DoubleBits(t.weight));
+    h = Fnv1a(h, t.dependencies.size());
+    for (const TxnId dep : t.dependencies) h = Fnv1a(h, dep);
+  }
+  return h;
+}
+
+WorkloadSpec MatrixSpec(size_t n, size_t chain_length, size_t chains) {
+  WorkloadSpec spec;
+  spec.num_transactions = n;
+  spec.max_workflow_length = chain_length;
+  spec.max_workflows_per_txn = chains;
+  return spec;
+}
+
+// Generate is the one implementation of the paper's recipe, and every
+// workload, digest and figure depends on its exact draws. These golden
+// digests pin it over a spec x seed matrix: workflows on and off,
+// batched and unbatched arrivals, both deadline models, estimate error,
+// burstiness and utilization extremes.
+TEST(GeneratorTest, GoldenDigestsOverTheSpecMatrix) {
+  WorkloadSpec unbatched = MatrixSpec(400, 5, 3);
+  unbatched.batch_workflow_arrivals = false;
+  WorkloadSpec own_length = MatrixSpec(300, 3, 2);
+  own_length.deadline_model = DeadlineModel::kOwnLength;
+  WorkloadSpec estimates = MatrixSpec(300, 1, 1);
+  estimates.estimate_error = 0.2;
+  WorkloadSpec estimates_workflows = MatrixSpec(300, 4, 2);
+  estimates_workflows.estimate_error = 0.2;
+  WorkloadSpec bursty = MatrixSpec(300, 1, 1);
+  bursty.burstiness = 0.6;
+  WorkloadSpec bursty_mixed = MatrixSpec(300, 3, 2);
+  bursty_mixed.burstiness = 0.6;
+  bursty_mixed.estimate_error = 0.1;
+  WorkloadSpec heavy = MatrixSpec(500, 4, 2);
+  heavy.utilization = 0.9;
+  heavy.max_weight = 10;
+  heavy.estimate_error = 0.2;
+  std::vector<WorkloadSpec> utilization(3, MatrixSpec(250, 1, 1));
+  utilization[0].utilization = 0.1;
+  utilization[1].utilization = 0.9;
+  utilization[2].utilization = 1.0;
+  for (WorkloadSpec& spec : utilization) spec.max_weight = 10;
+
+  struct Case {
+    const char* label;
+    WorkloadSpec spec;
+    uint64_t seed;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {"base", WorkloadSpec{}, 1, 0xe1664c129b6b0e48ULL},
+      {"base", WorkloadSpec{}, 42, 0xa8134ecc703c4585ULL},
+      {"base", WorkloadSpec{}, 2009, 0x5eeefa3dd6d90c6fULL},
+      {"workflows", MatrixSpec(400, 4, 2), 7, 0x56b54f88cdca6cbaULL},
+      {"workflows", MatrixSpec(400, 4, 2), 99, 0x0c8ebf90b7274553ULL},
+      {"workflows", MatrixSpec(400, 4, 2), 31337, 0xa070843019efd000ULL},
+      {"unbatched", unbatched, 3, 0x78f71bdc4c90759eULL},
+      {"unbatched", unbatched, 11, 0xd2ac93f4e0e729c6ULL},
+      {"own-length", own_length, 5, 0xa8ffe0ab5c042ec9ULL},
+      {"estimates", estimates, 23, 0x004232e56f70d238ULL},
+      {"estimates+workflows", estimates_workflows, 23, 0x93eabbca03ff8b69ULL},
+      {"bursty", bursty, 77, 0x6af3723c7cdeadf9ULL},
+      {"bursty+workflows+estimates", bursty_mixed, 77, 0xf8bf5578a481d834ULL},
+      {"util=0.1", utilization[0], 13, 0x7e2ca4258c036326ULL},
+      {"util=0.9", utilization[1], 13, 0x41f702d84b0d371eULL},
+      {"util=1.0", utilization[2], 13, 0x55b50365b7795918ULL},
+      {"heavy", heavy, 1, 0xf0e69bff38134b2aULL},
+      {"heavy", heavy, 2, 0x22374638226cfea6ULL},
+      {"heavy", heavy, 3, 0x7c1e5c36bc572ec0ULL},
+      {"heavy", heavy, 4, 0xb9732639f6a24120ULL},
+  };
+  for (const Case& c : cases) {
+    const uint64_t digest = WorkloadDigest(Generate(c.spec, c.seed));
+    EXPECT_EQ(digest, c.digest)
+        << c.label << " seed " << c.seed << ": 0x" << std::hex << digest;
   }
 }
 

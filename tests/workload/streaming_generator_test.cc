@@ -1,15 +1,15 @@
-// The streaming generator's contract is BIT-IDENTITY with the batch
-// WorkloadGenerator: for any (spec, seed), the sequence of Next() calls
-// must reproduce the batch Generate() vector field for field — arrival
-// doubles, Zipf lengths, deadlines, weights, estimates, and the exact
-// dependency lists of the workflow chain construction. These tests sweep
-// the spec matrix (workflows on/off, batched arrivals, burstiness,
-// estimate error, both deadline models, utilization extremes) across
-// multiple seeds, plus bounded-state and validation checks.
+// StreamingWorkloadGenerator is a cursor over WorkloadGenerator::Generate:
+// for any (spec, seed), the sequence of Next() calls must hand out the
+// Generate() vector field for field — arrival doubles, Zipf lengths,
+// deadlines, weights, estimates, and the exact dependency lists. These
+// tests sweep the spec matrix (workflows on/off, batched arrivals,
+// burstiness, estimate error, both deadline models, utilization
+// extremes) across multiple seeds, plus validation. Generate itself is
+// pinned over the same matrix by golden digests
+// (GeneratorTest.GoldenDigestsOverTheSpecMatrix).
 
 #include "workload/streaming_generator.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -23,7 +23,7 @@
 namespace webtx {
 namespace {
 
-/// Asserts that streaming (spec, seed) reproduces batch (spec, seed)
+/// Asserts that the cursor over (spec, seed) hands out Generate(seed)
 /// exactly, field for field.
 void ExpectStreamMatchesBatch(const WorkloadSpec& spec, uint64_t seed,
                               const std::string& label) {
@@ -36,10 +36,8 @@ void ExpectStreamMatchesBatch(const WorkloadSpec& spec, uint64_t seed,
   ASSERT_TRUE(stream_gen.ok()) << label << ": " << stream_gen.status();
   StreamingWorkloadGenerator stream = std::move(stream_gen).ValueOrDie();
 
-  ASSERT_EQ(stream.num_transactions(), batch.size()) << label;
   for (size_t i = 0; i < batch.size(); ++i) {
     ASSERT_FALSE(stream.Done()) << label << " txn " << i;
-    ASSERT_EQ(stream.produced(), i);
     const TransactionSpec t = stream.Next();
     const TransactionSpec& b = batch[i];
     ASSERT_EQ(t.id, b.id) << label << " txn " << i;
@@ -52,7 +50,6 @@ void ExpectStreamMatchesBatch(const WorkloadSpec& spec, uint64_t seed,
     ASSERT_EQ(t.dependencies, b.dependencies) << label << " txn " << i;
   }
   EXPECT_TRUE(stream.Done()) << label;
-  EXPECT_EQ(stream.produced(), batch.size());
 }
 
 TEST(StreamingGeneratorTest, MatchesBatchOnPaperBaseSpec) {
@@ -97,8 +94,7 @@ TEST(StreamingGeneratorTest, MatchesBatchWithEstimateError) {
   spec.num_transactions = 300;
   spec.estimate_error = 0.2;
   ExpectStreamMatchesBatch(spec, 23, "estimates");
-  // And combined with workflows (both RNG streams plus the estimate
-  // stream all interleaving).
+  // And combined with workflows.
   spec.max_workflow_length = 4;
   spec.max_workflows_per_txn = 2;
   ExpectStreamMatchesBatch(spec, 23, "estimates+workflows");
@@ -139,26 +135,6 @@ TEST(StreamingGeneratorTest, MatchesBatchOnWeightedHeavyTailSpec) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     ExpectStreamMatchesBatch(spec, seed, "heavy");
   }
-}
-
-TEST(StreamingGeneratorTest, OpenChainStateStaysBounded) {
-  // The whole point of streaming: generator-side state is O(open
-  // chains), which is bounded by max_workflows_per_txn * (chain length)
-  // growth per step and closes continuously — NOT O(n). Pin a loose
-  // bound that a population-proportional implementation would smash.
-  WorkloadSpec spec;
-  spec.num_transactions = 5000;
-  spec.max_workflow_length = 6;
-  spec.max_workflows_per_txn = 3;
-  auto gen = StreamingWorkloadGenerator::Create(spec, 9);
-  ASSERT_TRUE(gen.ok()) << gen.status();
-  StreamingWorkloadGenerator stream = std::move(gen).ValueOrDie();
-  size_t max_open = 0;
-  while (!stream.Done()) {
-    (void)stream.Next();
-    max_open = std::max(max_open, stream.open_chains());
-  }
-  EXPECT_LE(max_open, 64u) << "open-chain state grew with the population";
 }
 
 TEST(StreamingGeneratorTest, RejectsInvalidSpec) {
