@@ -3,12 +3,8 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
-#include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -148,127 +144,6 @@ inline std::vector<PolicyMetrics> RunPoint(
 
 /// The paper's five averaged runs.
 inline std::vector<uint64_t> PaperSeeds() { return {1, 2, 3, 4, 5}; }
-
-// ---------------------------------------------------------------------------
-// Machine-readable benchmark output (BENCH_hotpath.json).
-
-/// One benchmark measurement row. Serialized as a flat JSON object so the
-/// perf trajectory can be diffed / plotted without a parser for nested
-/// structures.
-struct BenchRow {
-  std::string bench;   // benchmark binary / family, e.g. "sweep_throughput"
-  std::string config;  // point within the family, e.g. "fig08 threads=2"
-  std::string metric;  // e.g. "instances_per_sec"
-  double value = 0.0;
-  std::string unit;  // e.g. "1/s", "ms", "ns/event"
-};
-
-inline std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-/// Target file for benchmark rows: $WEBTX_BENCH_JSON when set, else
-/// BENCH_hotpath.json in the working directory (scripts/check.sh runs the
-/// bench binaries from the repo root).
-inline std::string BenchJsonPath() {
-  if (const char* env = std::getenv("WEBTX_BENCH_JSON")) {
-    if (*env != '\0') return env;
-  }
-  return "BENCH_hotpath.json";
-}
-
-/// Reads rows previously written by WriteBenchRows (one flat object per
-/// line; see below). Unparsable lines are skipped. Lets benches relate
-/// fresh measurements to recorded baselines — e.g. sweep_throughput
-/// reports its speedup over the "seed_baseline" family, measured once
-/// at the pre-optimization revision and kept in the file since.
-inline std::vector<BenchRow> ReadBenchRows(
-    const std::string& path = BenchJsonPath()) {
-  std::vector<BenchRow> rows;
-  std::ifstream in(path);
-  if (!in) return rows;
-  // Extracts the value of a "key": "..." string field.
-  const auto field = [](const std::string& line, const std::string& key,
-                        std::string* out) {
-    const std::string tag = "\"" + key + "\": \"";
-    const size_t at = line.find(tag);
-    if (at == std::string::npos) return false;
-    const size_t start = at + tag.size();
-    const size_t end = line.find('"', start);
-    if (end == std::string::npos) return false;
-    *out = line.substr(start, end - start);
-    return true;
-  };
-  std::string line;
-  while (std::getline(in, line)) {
-    BenchRow row;
-    if (!field(line, "bench", &row.bench) ||
-        !field(line, "config", &row.config) ||
-        !field(line, "metric", &row.metric) ||
-        !field(line, "unit", &row.unit)) {
-      continue;
-    }
-    const std::string tag = "\"value\": ";
-    const size_t at = line.find(tag);
-    if (at == std::string::npos) continue;
-    row.value = std::strtod(line.c_str() + at + tag.size(), nullptr);
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-/// Merges `rows` into the JSON file at `path`: existing rows from OTHER
-/// bench families are kept, rows whose "bench" matches one being written
-/// are replaced. The file is a JSON array with one row object per line —
-/// written only by this function, which is what licenses the line-based
-/// re-parse here.
-inline void WriteBenchRows(const std::vector<BenchRow>& rows,
-                           const std::string& path = BenchJsonPath()) {
-  if (rows.empty()) return;
-  std::set<std::string> rewritten;
-  for (const BenchRow& row : rows) rewritten.insert(row.bench);
-
-  std::vector<std::string> kept;
-  if (std::ifstream in(path); in) {
-    std::string line;
-    while (std::getline(in, line)) {
-      const size_t key = line.find("{\"bench\": \"");
-      if (key == std::string::npos) continue;  // array brackets
-      const size_t start = key + 11;
-      const size_t end = line.find('"', start);
-      if (end == std::string::npos) continue;
-      if (rewritten.count(line.substr(start, end - start)) == 0) {
-        if (line.back() == ',') line.pop_back();
-        kept.push_back(line);
-      }
-    }
-  }
-
-  std::ostringstream body;
-  body.precision(std::numeric_limits<double>::max_digits10);
-  for (const std::string& line : kept) body << line << ",\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const BenchRow& row = rows[i];
-    body << "{\"bench\": \"" << JsonEscape(row.bench) << "\", \"config\": \""
-         << JsonEscape(row.config) << "\", \"metric\": \""
-         << JsonEscape(row.metric) << "\", \"value\": " << row.value
-         << ", \"unit\": \"" << JsonEscape(row.unit) << "\"}"
-         << (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::cout << "(could not write " << path << ")\n";
-    return;
-  }
-  out << "[\n" << body.str() << "]\n";
-  std::cout << "(benchmark rows saved to " << path << ")\n";
-}
 
 }  // namespace webtx::bench
 

@@ -18,8 +18,10 @@
 // static serving, and unless the corrupted run triggers >= 1 fallback
 // with zero validator violations — the acceptance gate of the twin.
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -153,8 +155,6 @@ rt::TwinArrivalWindow DecisionWindow() {
 
 struct DecisionLoopResult {
   double ms_per_tick = 0.0;
-  double events_per_sec = 0.0;
-  uint64_t forecasts_pruned = 0;
   /// Forecast winner per measured tick (incumbent fixed at 0) — the
   /// pruning win-rate-preservation comparison keys off these.
   std::vector<uint32_t> winners;
@@ -179,7 +179,6 @@ DecisionLoopResult MeasureDecisionLoop(const rt::TwinOptions& options) {
   DecisionLoopResult out;
   out.winners.reserve(kItersPerRep);
   double best_ms = std::numeric_limits<double>::infinity();
-  double best_events = 0.0;
   for (size_t rep = 0; rep < kReps; ++rep) {
     const rt::TwinDecisionStats before = e.stats();
     for (size_t i = 0; i < kItersPerRep; ++i) {
@@ -194,19 +193,9 @@ DecisionLoopResult MeasureDecisionLoop(const rt::TwinOptions& options) {
       }
       out.winners.push_back(best);
     }
-    const rt::TwinDecisionStats& s = e.stats();
-    const double ms = s.decision_ms - before.decision_ms;
-    if (ms < best_ms) {
-      best_ms = ms;
-      best_events = static_cast<double>(s.forecast_events -
-                                        before.forecast_events);
-    }
-    if (rep == 0) {
-      out.forecasts_pruned = s.forecasts_pruned - before.forecasts_pruned;
-    }
+    best_ms = std::min(best_ms, e.stats().decision_ms - before.decision_ms);
   }
   out.ms_per_tick = best_ms / static_cast<double>(kItersPerRep);
-  out.events_per_sec = best_ms > 0.0 ? best_events / (best_ms / 1e3) : 0.0;
   return out;
 }
 
@@ -316,24 +305,6 @@ int main() {
               guard_fired ? "yes" : "NO", divergence_run.report.fallbacks);
   std::printf("validator          %zu violation(s)\n", total_violations);
 
-  std::vector<bench::BenchRow> rows;
-  const auto emit = [&rows](const std::string& config, const RunRow& row) {
-    rows.push_back(bench::BenchRow{"ext_twin", config, "avg_tardiness",
-                                   row.report.avg_tardiness, "s"});
-    rows.push_back(bench::BenchRow{"ext_twin", config, "shed_ratio",
-                                   row.report.shed_ratio, "1"});
-    rows.push_back(bench::BenchRow{"ext_twin", config, "goodput",
-                                   row.report.goodput, "1"});
-  };
-  emit("flash static", static_run);
-  emit("flash controller", controller_run);
-  emit("flash divergence", divergence_run);
-  rows.push_back(bench::BenchRow{"ext_twin", "flash controller",
-                                 "controller_wins", wins ? 1.0 : 0.0, "1"});
-  rows.push_back(bench::BenchRow{
-      "ext_twin", "flash divergence", "guard_fallbacks",
-      static_cast<double>(divergence_run.report.fallbacks), "1"});
-
   // ------------------------------------------------------------------
   // Decision-loop cost grid: the per-tick forecast fan-out at 2/4/8/16
   // candidates under three forecast-execution configurations, measured
@@ -341,32 +312,16 @@ int main() {
   // wall clock — no executor threads competing for cores). The contract
   // half is hard-gated on whole twin runs (serial and threads=8 digests
   // must be byte-identical — execution strategy may only change cost);
-  // the perf half is recorded as bench rows and
-  // gated against the committed baseline by scripts/check.sh
-  // --bench-gate. serial_speedup relates the optimized loop to the
-  // "twin_seed_baseline" family — the per-candidate
-  // rebuild-and-run-to-completion decision loop the twin shipped with,
-  // measured once at the pre-optimization revision and kept in
-  // BENCH_hotpath.json since (the sweep_throughput seed_baseline
-  // precedent). Pruning is the one knob allowed to change decisions, so
-  // its agreement is REPORTED (whole-run digest match + per-tick winner
-  // match rate), not gated.
-  const std::vector<bench::BenchRow> committed = bench::ReadBenchRows();
-  const auto seed_decision_ms = [&committed](size_t cand) -> double {
-    const std::string cfg = "decision cand=" + std::to_string(cand);
-    for (const bench::BenchRow& b : committed) {
-      if (b.bench == "twin_seed_baseline" && b.config == cfg &&
-          b.metric == "decision_ms") {
-        return b.value;
-      }
-    }
-    return 0.0;  // not pinned yet: fall back to this binary's pooled loop
-  };
-
+  // the cost half is printed. The decision cost a change must hold is
+  // the repository benchmark's twin_flash decision_ms_p50/p99
+  // (perfbench/), compared across revisions by scripts/bench_ab.sh.
+  // Pruning is the one knob allowed to change decisions, so its
+  // agreement is REPORTED (per-tick winner match rate + whole-run digest
+  // match), not gated.
   std::printf("\nDecision-loop cost grid (ms per control tick):\n\n");
   const std::vector<std::string> grid_header = {
-      "candidates",  "seed_ms",      "pooled_ms",   "prune_ms",
-      "threads8_ms", "seed_speedup", "winner_match"};
+      "candidates",  "pooled_ms",    "prune_ms",
+      "threads8_ms", "winner_match", "prune_digest_match"};
   Table grid(grid_header);
   bool decision_digests_ok = true;
   for (const size_t cand : {size_t{2}, size_t{4}, size_t{8}, size_t{16}}) {
@@ -404,66 +359,16 @@ int main() {
     const double winner_match =
         static_cast<double>(winner_matches) /
         static_cast<double>(pooled_loop.winners.size());
-
-    double seed_ms = seed_decision_ms(cand);
-    if (seed_ms <= 0.0) {
-      std::printf(
-          "(no twin_seed_baseline row for cand=%zu; using this binary's "
-          "pooled loop as the serial baseline)\n",
-          cand);
-      seed_ms = pooled_loop.ms_per_tick;
-    }
-    // The gated headline: pooling + pruning vs the seed decision loop,
-    // both strictly serial (forecast_threads 1) — no parallel credit.
-    const double seed_speedup =
-        prune_loop.ms_per_tick > 0.0 ? seed_ms / prune_loop.ms_per_tick : 0.0;
-    const double pooled_speedup =
-        pooled_loop.ms_per_tick > 0.0 ? seed_ms / pooled_loop.ms_per_tick
-                                      : 0.0;
-    const double parallel_speedup =
-        threads8_loop.ms_per_tick > 0.0
-            ? pooled_loop.ms_per_tick / threads8_loop.ms_per_tick
-            : 0.0;
     grid.AddNumericRow(
         std::to_string(cand),
-        {seed_ms, pooled_loop.ms_per_tick, prune_loop.ms_per_tick,
-         threads8_loop.ms_per_tick, seed_speedup, winner_match});
-
-    const std::string tag = "decision cand=" + std::to_string(cand);
-    const auto emit_loop = [&rows, &tag](const std::string& variant,
-                                         const DecisionLoopResult& loop) {
-      rows.push_back(bench::BenchRow{"ext_twin", tag + " " + variant,
-                                     "decision_ms", loop.ms_per_tick, "ms"});
-      rows.push_back(bench::BenchRow{"ext_twin", tag + " " + variant,
-                                     "forecast_events_per_sec",
-                                     loop.events_per_sec, "1/s"});
-    };
-    emit_loop("pooled", pooled_loop);
-    emit_loop("prune", prune_loop);
-    emit_loop("threads8", threads8_loop);
-    rows.push_back(bench::BenchRow{"ext_twin", tag + " pooled",
-                                   "serial_speedup", pooled_speedup, "x"});
-    rows.push_back(bench::BenchRow{"ext_twin", tag + " prune",
-                                   "serial_speedup", seed_speedup, "x"});
-    rows.push_back(bench::BenchRow{"ext_twin", tag + " prune", "winner_match",
-                                   winner_match, "1"});
-    rows.push_back(bench::BenchRow{"ext_twin", tag + " prune",
-                                   "prune_digest_match",
-                                   prune_same ? 1.0 : 0.0, "1"});
-    rows.push_back(bench::BenchRow{
-        "ext_twin", tag + " prune", "forecasts_pruned",
-        static_cast<double>(prune_loop.forecasts_pruned), "1"});
-    rows.push_back(bench::BenchRow{"ext_twin", tag + " threads8",
-                                   "parallel_speedup", parallel_speedup, "x"});
+        {pooled_loop.ms_per_tick, prune_loop.ms_per_tick,
+         threads8_loop.ms_per_tick, winner_match, prune_same ? 1.0 : 0.0});
   }
   grid.Print(std::cout);
   std::printf(
-      "(seed_speedup = serial pooling+pruning vs the pinned "
-      "twin_seed_baseline rebuild loop; threads8 parallel speedup is "
-      "reported separately and depends on free cores)\n");
+      "(every column is serial except threads8, whose speedup depends on "
+      "free cores)\n");
   bench::SaveCsv(grid, "ext_twin_decision_loop");
-
-  bench::WriteBenchRows(rows);
 
   if (!wins || !guard_fired || total_violations > 0 || !deterministic ||
       !decision_digests_ok) {

@@ -9,9 +9,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <utility>
+#include <vector>
 
-#include "bench/bench_util.h"
+#include "common/check.h"
+#include "common/rng.h"
 #include "sched/indexed_priority_queue.h"
 #include "sched/policy_factory.h"
 #include "sim/simulator.h"
@@ -139,58 +142,7 @@ void BM_IndexedPqBulkLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexedPqBulkLoad)->RangeMultiplier(8)->Range(64, 262144);
 
-// Console output plus machine-readable rows for BENCH_hotpath.json: every
-// per-iteration run contributes its adjusted real time and, when set, its
-// items/sec throughput (scheduling events/sec for BM_PolicyEventCost).
-class JsonRowReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& reports) override {
-    for (const Run& run : reports) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      const std::string name = run.benchmark_name();
-      rows_.push_back(bench::BenchRow{"micro_scheduler_overhead", name,
-                                      "real_time_per_iter",
-                                      run.GetAdjustedRealTime(),
-                                      TimeUnitLabel(run.time_unit)});
-      const auto items = run.counters.find("items_per_second");
-      if (items != run.counters.end()) {
-        rows_.push_back(bench::BenchRow{"micro_scheduler_overhead", name,
-                                        "items_per_second",
-                                        items->second.value, "1/s"});
-      }
-    }
-    benchmark::ConsoleReporter::ReportRuns(reports);
-  }
-
-  const std::vector<bench::BenchRow>& rows() const { return rows_; }
-
- private:
-  static std::string TimeUnitLabel(benchmark::TimeUnit unit) {
-    switch (unit) {
-      case benchmark::kNanosecond:
-        return "ns";
-      case benchmark::kMicrosecond:
-        return "us";
-      case benchmark::kMillisecond:
-        return "ms";
-      case benchmark::kSecond:
-        return "s";
-    }
-    return "?";
-  }
-
-  std::vector<bench::BenchRow> rows_;
-};
-
 }  // namespace
 }  // namespace webtx
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  webtx::JsonRowReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  webtx::bench::WriteBenchRows(reporter.rows());
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -1,19 +1,18 @@
-// End-to-end hot-path throughput baseline (BENCH_hotpath.json): how fast
-// the sweep engine chews through the fig08 workload grid (10 utilizations
-// x 5 seeds = 50 instances, Table I defaults), and how much of that
-// wall-clock the serial merge tail costs, at 1/2/8 worker threads.
-//
-// Two extra series anchor the scheduler-side win independent of machine
-// speed: the same instance grid replayed under the production
+// Scheduler-side cost of ASETS*'s incremental head maintenance: the
+// fig08 instance grid (10 utilizations x 5 seeds, Table I defaults) and
+// the fig15 general case replayed serially under the production
 // (incremental-head) ASETS* and under the pre-optimization full-rescan
-// reference (tests/testing/asets_star_reference.h), reported as events/sec
-// each plus their ratio (speedup_vs_reference_refresh). The two runs
-// produce byte-identical schedules — asserted continuously by
+// reference (tests/testing/asets_star_reference.h), reported as
+// events/sec each plus their ratio. The two runs produce byte-identical
+// schedules — asserted continuously by
 // tests/sched/asets_star_incremental_test — so the ratio is pure
 // bookkeeping overhead, not a behavior change.
 //
-// Flags: --smoke runs a minimal grid (CI bit-rot guard, seconds);
-// --threads=N / WEBTX_THREADS restrict the thread sweep.
+// End-to-end sweep throughput (instances/sec through RunSweep, and its
+// thread scaling) is the repository benchmark's paper_sweep workload
+// (perfbench/), compared across revisions by scripts/bench_ab.sh.
+//
+// Flags: --smoke runs a minimal grid (CI bit-rot guard, seconds).
 
 #include <algorithm>
 #include <chrono>
@@ -42,7 +41,6 @@ constexpr int kReps = 3;  // best-of, to shave scheduler/cache noise
 SweepConfig Fig08Config(bool smoke) {
   SweepConfig config;  // Table I defaults
   config.utilizations = PaperUtilizationGrid();
-  config.policies = {"FCFS", "LS", "EDF", "SRPT", "ASETS"};
   if (smoke) {
     config.base.num_transactions = 100;
     config.utilizations = {0.4, 0.8};
@@ -101,78 +99,10 @@ double EventsPerSec(const std::vector<WorkloadInstance>& instances,
 }
 
 void RunBench(bool smoke) {
-  std::vector<bench::BenchRow> rows;
-  const auto row = [&rows](const std::string& config,
-                           const std::string& metric, double value,
-                           const std::string& unit) {
-    rows.push_back(
-        bench::BenchRow{"sweep_throughput", config, metric, value, unit});
-  };
-  const std::string grid = smoke ? "fig08-smoke" : "fig08";
-
-  // End-to-end RunSweep wall-clock at 1/2/8 threads (the sweep output is
-  // byte-identical across thread counts; only the wall-clock moves).
-  std::vector<size_t> thread_counts = {1, 2, 8};
-  if (const size_t env_threads = bench::NumThreads(); env_threads != 0) {
-    thread_counts = {env_threads};
-  }
-  // Rows measured once at the pre-optimization revision (the commit this
-  // PR branched from, built at identical Release settings) and kept in
-  // the JSON since; see EXPERIMENTS.md "Scheduler overhead".
-  const std::vector<bench::BenchRow> baseline = bench::ReadBenchRows();
-  const auto seed_rate = [&baseline](const std::string& config) {
-    for (const bench::BenchRow& b : baseline) {
-      if (b.bench == "seed_baseline" && b.config == config &&
-          b.metric == "instances_per_sec") {
-        return b.value;
-      }
-    }
-    return 0.0;
-  };
-
-  for (const size_t threads : thread_counts) {
-    SweepConfig config = Fig08Config(smoke);
-    config.num_threads = threads;
-    SweepTiming timing;
-    config.timing = &timing;
-    const size_t num_instances =
-        config.utilizations.size() * config.seeds.size();
-    double best_rate = 0.0;
-    double wall_ms = 0.0;
-    double merge_ms = 0.0;
-    double run_ms = 0.0;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const auto start = Clock::now();
-      auto cells = RunSweep(config);
-      const double elapsed = SecondsSince(start);
-      WEBTX_CHECK(cells.ok()) << cells.status().ToString();
-      const double rate = static_cast<double>(num_instances) / elapsed;
-      if (rate > best_rate) {
-        best_rate = rate;
-        wall_ms = elapsed * 1000.0;
-        merge_ms = timing.merge_ms;
-        run_ms = timing.run_ms;
-      }
-    }
-    const std::string label = grid + " threads=" + std::to_string(threads);
-    row(label, "instances_per_sec", best_rate, "1/s");
-    row(label, "sweep_wall_ms", wall_ms, "ms");
-    row(label, "merge_tail_ms", merge_ms, "ms");
-    std::cout << label << ": " << best_rate << " instances/sec (wall "
-              << wall_ms << " ms, run " << run_ms << " ms, merge tail "
-              << merge_ms << " ms)\n";
-    if (const double seed = seed_rate(label); seed > 0.0) {
-      row(label, "speedup_vs_seed", best_rate / seed, "x");
-      std::cout << "  " << best_rate / seed << "x vs seed_baseline ("
-                << seed << " instances/sec)\n";
-    }
-  }
-
-  // Scheduler-side series: production incremental ASETS* vs. the
-  // full-rescan reference, identical schedules by construction. fig08
-  // workflows are singletons (the head cache is trivially small), so the
-  // incremental win is reported on the fig15 general case too — weighted
-  // multi-member workflows, where head maintenance has real work to do.
+  // fig08 workflows are singletons (the head cache is trivially small),
+  // so the incremental win is reported on the fig15 general case too —
+  // weighted multi-member workflows, where head maintenance has real
+  // work to do.
   struct Replay {
     const char* label;
     SweepConfig config;
@@ -195,16 +125,10 @@ void RunBench(bool smoke) {
            "asets_star_incremental_test";
     const std::string label =
         std::string(replay.label) + (smoke ? "-smoke" : "");
-    row(label + " asets_star", "events_per_sec", inc, "1/s");
-    row(label + " asets_star_reference", "events_per_sec", ref, "1/s");
-    row(label + " asets_star", "speedup_vs_reference_refresh", inc / ref,
-        "x");
     std::cout << label << " ASETS* events/sec: incremental " << inc
               << ", reference " << ref << " (speedup " << inc / ref
               << "x over " << events_inc << " events)\n";
   }
-
-  bench::WriteBenchRows(rows);
 }
 
 }  // namespace

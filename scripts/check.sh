@@ -6,10 +6,8 @@
 # release) should run; each stage stops the script on the first failure.
 #
 # After the test matrix, a bench-smoke stage builds the Release preset
-# (-O3 -DNDEBUG) and runs each perf benchmark binary on a minimal
-# workload, writing to a scratch JSON — this catches bit-rot in the
-# bench harnesses without touching the committed BENCH_hotpath.json
-# baseline (full-run numbers; see README "Benchmarking").
+# (-O3 -DNDEBUG) and runs each perf bench binary on a minimal workload
+# — this catches bit-rot in the bench harnesses.
 #
 # A chaos-smoke stage runs the randomized fault-injection campaigns of
 # tools/chaos against the plain build, one engine over four profiles at
@@ -23,46 +21,61 @@
 # reproducer path is printed — commit it under
 # tests/integration/replays/ to pin the regression.
 #
-# A bench-gate stage (opt-in: perf numbers are machine-relative, so it
-# only makes sense on the machine that produced the committed baseline)
-# runs the full bench/sweep_throughput, ext_huge_scale, ext_multi_server
-# and ext_twin benches against the Release build and FAILS if a gated
-# row regresses against the committed BENCH_hotpath.json: the fig08
-# end-to-end instances_per_sec rows (10%), the 10^6-txn events_per_sec
-# row (25%), the serial ASETS*-sharded vs global ratio at 4 and 8
-# servers (10%), and the twin rows. After an intentional perf change,
-# refresh the baseline by re-running the bench binaries with
-# WEBTX_BENCH_JSON unset and committing the updated JSON.
+# A bench-gate stage (opt-in) compares HEAD against a pinned revision on
+# this host: scripts/bench_ab.sh <rev> HEAD <workload> for each
+# workload of BENCHMARK.json (interleaved pairs, both sides built the
+# same way). It fails on any "worse" verdict or any HEAD run that is not
+# correct, and lists every "unresolved" one. Three bounds that the
+# benchmark's own do not cover are held as well:
+#   - paper_sweep txns_per_s: the median per-pair HEAD/rev ratio must
+#     be >= 0.90 (tighter than its BENCHMARK.json bound);
+#   - exp.speedup_t2 (the sweep at 2 threads vs 1, from one traced
+#     paper_sweep run at HEAD) must be >= 0.9; skipped on a 1-CPU host;
+#   - bench/ext_multi_server and bench/ext_twin (Release) must exit 0:
+#     the sharded-vs-global policy floor, and the twin's controller win,
+#     guard trip, validator and digest checks.
+# It measures committed revisions only, so it refuses to run while
+# src/, perfbench/ or CMakeLists.txt has uncommitted changes. It takes
+# tens of minutes, and nothing else should run on the host meanwhile.
 #
 # A huge-smoke stage (opt-in) runs the 10^5-transaction open-system
 # point of bench/ext_huge_scale and one validator-audited case of the
 # huge chaos profile (10^5 transactions under a randomized fault
 # cocktail).
 #
-# Usage: scripts/check.sh [--fast] [--chaos-smoke] [--bench-gate]
-#                         [--huge-smoke]
-#   --fast         plain preset only (skips chaos, sanitizers and bench
-#                  smoke)
-#   --chaos-smoke  plain preset + the four chaos campaigns only
-#   --bench-gate   release build + fig08 perf-regression gate only
-#   --huge-smoke   release build + 10^5-txn end-to-end run and a
-#                  validator-audited 10^5-txn chaos case only
+# Usage: scripts/check.sh [--fast] [--chaos-smoke] [--huge-smoke]
+#                         [--bench-gate <rev>]
+#   --fast              plain preset only (skips chaos, sanitizers and
+#                       bench smoke)
+#   --chaos-smoke       plain preset + the four chaos campaigns only
+#   --huge-smoke        release build + 10^5-txn end-to-end run and a
+#                       validator-audited 10^5-txn chaos case only
+#   --bench-gate <rev>  the A/B gate of HEAD against revision <rev> only
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FAST=0
 CHAOS_ONLY=0
-BENCH_GATE=0
+GATE_REV=""
 HUGE_SMOKE=0
-for arg in "$@"; do
-  case "$arg" in
+usage() {
+  echo "usage: $0 [--fast] [--chaos-smoke] [--huge-smoke]" \
+       "[--bench-gate <rev>]" >&2
+  exit 2
+}
+while [[ $# -gt 0 ]]; do
+  case "$1" in
     --fast) FAST=1 ;;
     --chaos-smoke) CHAOS_ONLY=1 ;;
-    --bench-gate) BENCH_GATE=1 ;;
+    --bench-gate)
+      [[ $# -ge 2 && "$2" != -* ]] || usage
+      GATE_REV="$2"
+      shift ;;
     --huge-smoke) HUGE_SMOKE=1 ;;
-    *) echo "unknown flag: $arg" >&2; exit 2 ;;
+    *) echo "unknown flag: $1" >&2; usage ;;
   esac
+  shift
 done
 
 run_preset() {
@@ -78,174 +91,111 @@ bench_smoke() {
   echo "==> configure+build [release]"
   cmake --preset release
   cmake --build --preset release -j "$(nproc)"
-  # Smoke rows go to a scratch file: the committed BENCH_hotpath.json at
-  # the repo root holds full-run numbers (see README "Benchmarking") and
-  # must not be overwritten by the one-iteration smoke subset.
   echo "==> bench smoke [release]"
-  WEBTX_BENCH_JSON=build-release/BENCH_smoke.json \
-    ./build-release/bench/sweep_throughput --smoke
-  WEBTX_BENCH_JSON=build-release/BENCH_smoke.json \
-    ./build-release/bench/ext_huge_scale --smoke
-  WEBTX_BENCH_JSON=build-release/BENCH_smoke.json \
-    ./build-release/bench/micro_scheduler_overhead \
+  ./build-release/bench/sweep_throughput --smoke
+  ./build-release/bench/ext_huge_scale --smoke
+  ./build-release/bench/micro_scheduler_overhead \
     --benchmark_min_time=0.01 \
     --benchmark_filter='BM_PolicyEventCost.*/256$|BM_IndexedPq.*/64$'
 }
 
-# Value of one (bench, config, metric) row in a bench JSON.
-bench_rate() {
-  awk -F'"' -v bench="$2" -v cfg="$3" -v metric="$4" '
-    $4 == bench && $8 == cfg && $12 == metric {
-      v = $15; gsub(/[:, ]/, "", v); print v; exit
-    }' "$1"
-}
-
 bench_gate() {
+  local rev="$1" root="$PWD" dirty out workload seconds bench code
+  dirty=$(git status --porcelain -- src perfbench CMakeLists.txt)
+  if [[ -n "$dirty" ]]; then
+    echo "bench gate: bench_ab.sh measures committed revisions only;" \
+         "commit or stash these first:" >&2
+    echo "$dirty" >&2
+    exit 2
+  fi
   echo "==> configure+build [release]"
   cmake --preset release
-  cmake --build --preset release -j "$(nproc)"
-  echo "==> bench gate [release]: fig08 end-to-end vs BENCH_hotpath.json"
-  local gate_json=build-release/BENCH_gate.json
-  # Fresh rows go to a scratch file seeded from the committed baseline,
-  # so the bench still sees its seed_baseline reference rows and the
-  # committed JSON itself is never overwritten by a gate run.
-  cp BENCH_hotpath.json "$gate_json"
-  WEBTX_BENCH_JSON="$gate_json" ./build-release/bench/sweep_throughput
-  WEBTX_BENCH_JSON="$gate_json" ./build-release/bench/ext_huge_scale
-  WEBTX_BENCH_JSON="$gate_json" ./build-release/bench/ext_multi_server
-  WEBTX_BENCH_JSON="$gate_json" ./build-release/bench/ext_twin
-  local failed=0 threads config old new
-  for threads in 1 2 8; do
-    config="fig08 threads=${threads}"
-    old=$(bench_rate BENCH_hotpath.json sweep_throughput "$config" \
-          instances_per_sec)
-    new=$(bench_rate "$gate_json" sweep_throughput "$config" \
-          instances_per_sec)
-    if [[ -z "$old" || -z "$new" ]]; then
-      echo "bench gate: missing instances_per_sec row for '$config'" >&2
-      failed=1
-      continue
-    fi
-    if awk -v new="$new" -v old="$old" 'BEGIN { exit !(new < 0.9 * old) }'
-    then
-      echo "bench gate: FAIL '$config': $new < 90% of baseline $old" >&2
-      failed=1
+  cmake --build --preset release -j "$(nproc)" \
+    --target ext_multi_server ext_twin
+  out=$(mktemp -d "${TMPDIR:-/tmp}/bench_gate.XXXXXX")
+  for workload in $(python3 -c 'import json
+print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+  do
+    echo "==> bench gate: $workload, $rev vs HEAD"
+    scripts/bench_ab.sh "$rev" HEAD "$workload" | tee "$out/$workload.report"
+  done
+  echo "==> bench gate: traced paper_sweep at HEAD"
+  seconds=$(python3 -c 'import json
+print(json.load(open("BENCHMARK.json"))["run_seconds"])')
+  python3 perfbench/run.py --workload paper_sweep --seed 0 --trace 1 \
+    --seconds "$seconds" | tail -n 1 > "$out/traced.json"
+  for bench in ext_multi_server ext_twin; do
+    echo "==> bench gate: $bench [release]"
+    code=0
+    (cd "$out" && "$root/build-release/bench/$bench") || code=$?
+    echo "$code" > "$out/$bench.exit"
+  done
+  bench_gate_verdict "$out" "$rev"
+}
+
+# Judges what bench_gate collected in directory $1 against revision $2:
+# each workload's bench_ab.sh report (<workload>.report), the traced
+# paper_sweep result line (traced.json) and the exit codes of the two
+# benches with floors of their own (<bench>.exit). Prints one line per
+# check and returns nonzero when any fails.
+bench_gate_verdict() {
+  local dir="$1" rev="$2" failed=0 report speedup bench code
+  echo "==> bench gate summary ($rev vs HEAD)"
+  for report in "$dir"/*.report; do
+    # Metric rows read "<metric> <A q> <B q> <B/A> <pair B/A> <wins>/<pairs>
+    # <verdict> ..."; HEAD's run line "B: <correct>/<pairs> runs correct;
+    # <failed> of <attempted> operations failed".
+    awk -v w="$(basename "$report" .report)" '
+      $1 == "B:" {
+        split($2, runs, "/")
+        if (runs[1] != runs[2] || $5 != 0) { print "FAIL " w ": " $0; bad = 1 }
+      }
+      $6 !~ /^[0-9]+\/[0-9]+$/ { next }
+      { ++metrics }
+      $7 == "worse" { print "FAIL " w ": " $0; bad = 1 }
+      $7 == "unresolved" { print "unresolved " w ": " $0 }
+      w == "paper_sweep" && $1 == "txns_per_s" {
+        sweep = 1
+        if ($5 < 0.90) {
+          print "FAIL " w ": txns_per_s pair B/A " $5 " < 0.90"; bad = 1
+        } else {
+          print "ok " w ": txns_per_s pair B/A " $5 " >= 0.90"
+        }
+      }
+      END {
+        if (w == "paper_sweep" && !sweep) {
+          print "FAIL " w ": no txns_per_s row"; bad = 1
+        }
+        if (!bad) print "ok " w ": " metrics " metrics, none worse"
+        exit bad
+      }' "$report" || failed=1
+  done
+  speedup=$(python3 -c 'import json, sys
+metric = json.load(open(sys.argv[1]))["metrics"].get("exp.speedup_t2")
+print(metric["value"] if metric else 0)' "$dir/traced.json")
+  # perfbench reports 0 when the host has one CPU and skips the probe.
+  if awk -v s="$speedup" 'BEGIN { exit !(s == 0) }'; then
+    echo "skipped paper_sweep: exp.speedup_t2 not measured on one CPU"
+  elif awk -v s="$speedup" 'BEGIN { exit !(s < 0.9) }'; then
+    echo "FAIL paper_sweep: exp.speedup_t2 $speedup < 0.9"
+    failed=1
+  else
+    echo "ok paper_sweep: exp.speedup_t2 $speedup >= 0.9"
+  fi
+  for bench in ext_multi_server ext_twin; do
+    code=$(cat "$dir/$bench.exit")
+    if [[ "$code" == 0 ]]; then
+      echo "ok $bench: exit 0"
     else
-      echo "bench gate: ok '$config': $new vs baseline $old instances/sec"
+      echo "FAIL $bench: exit $code"
+      failed=1
     fi
   done
-  # Huge-scale row: the 10^6-txn end-to-end rate must hold its
-  # baseline. It is a single-rep multi-second run with ~10% observed
-  # machine variance, so it gets a 75% floor — it guards
-  # feasibility-scale collapses, not single-digit drift.
-  local hs_config="e2e n=1000000"
-  old=$(bench_rate BENCH_hotpath.json ext_huge_scale "$hs_config" \
-        events_per_sec)
-  new=$(bench_rate "$gate_json" ext_huge_scale "$hs_config" events_per_sec)
-  if [[ -z "$old" || -z "$new" ]]; then
-    echo "bench gate: missing events_per_sec row for '$hs_config'" >&2
-    failed=1
-  elif awk -v new="$new" -v old="$old" 'BEGIN { exit !(new < 0.75 * old) }'
-  then
-    echo "bench gate: FAIL '$hs_config': $new < 0.75 of baseline $old" >&2
-    failed=1
+  if [[ "$failed" == 0 ]]; then
+    echo "bench gate: PASS"
   else
-    echo "bench gate: ok '$hs_config': $new vs baseline $old events_per_sec"
+    echo "bench gate: FAIL"
   fi
-  # Sharded-policy rows: ASETS*-sharded (serial; the row keys keep their
-  # historical "threads=1") must hold its wall-clock ratio against the
-  # global-state ASETS* baseline within 10% of the committed trajectory
-  # (a drop means the ownership bookkeeping got more expensive, not
-  # machine noise — the ratio is the median of interleaved pairs within
-  # one run of the same binary).
-  local sp_servers sp_config
-  for sp_servers in 4 8; do
-    sp_config="servers=${sp_servers} threads=1 policy=sharded"
-    old=$(bench_rate BENCH_hotpath.json ext_multi_server "$sp_config" \
-          sharded_vs_global)
-    new=$(bench_rate "$gate_json" ext_multi_server "$sp_config" \
-          sharded_vs_global)
-    if [[ -z "$old" || -z "$new" ]]; then
-      echo "bench gate: missing sharded_vs_global row for '$sp_config'" >&2
-      failed=1
-      continue
-    fi
-    if awk -v new="$new" -v old="$old" 'BEGIN { exit !(new < 0.9 * old) }'
-    then
-      echo "bench gate: FAIL '$sp_config': sharded_vs_global $new < 90%" \
-           "of baseline $old" >&2
-      failed=1
-    else
-      echo "bench gate: ok '$sp_config': sharded_vs_global $new vs" \
-           "baseline $old"
-    fi
-  done
-  # Digital-twin rows: the flash-crowd metrics are virtual-clock
-  # deterministic (not wall-clock), so the controller must STRICTLY beat
-  # static serving on tardiness or shed ratio every run, and the
-  # divergence guard must fire on the corrupted model. ext_twin itself
-  # exits 1 on a miss; the row checks here catch a silently-stale JSON.
-  new=$(bench_rate "$gate_json" ext_twin "flash controller" \
-        controller_wins)
-  if [[ -z "$new" ]] || awk -v w="$new" 'BEGIN { exit !(w < 1) }'; then
-    echo "bench gate: FAIL ext_twin controller_wins = '${new}' != 1" >&2
-    failed=1
-  else
-    echo "bench gate: ok ext_twin controller beats static serving"
-  fi
-  new=$(bench_rate "$gate_json" ext_twin "flash divergence" \
-        guard_fallbacks)
-  if [[ -z "$new" ]] || awk -v f="$new" 'BEGIN { exit !(f < 1) }'; then
-    echo "bench gate: FAIL ext_twin guard_fallbacks = '${new}' < 1" >&2
-    failed=1
-  else
-    echo "bench gate: ok ext_twin divergence guard fired ($new fallback)"
-  fi
-  # Decision-loop rows: pooling + pruning together must stay >= 2x
-  # faster than the pinned twin_seed_baseline rebuild loop at 8
-  # candidates (both sides strictly serial — the parallel_speedup rows
-  # are reported but never gated, per the 1-core caveat), and the
-  # pooled decision cost must not regress more than 10% against the
-  # committed baseline at any grid size.
-  new=$(bench_rate "$gate_json" ext_twin "decision cand=8 prune" \
-        serial_speedup)
-  if [[ -z "$new" ]]; then
-    echo "bench gate: missing serial_speedup row at 8 candidates" >&2
-    failed=1
-  elif awk -v s="$new" 'BEGIN { exit !(s < 2.0) }'; then
-    echo "bench gate: FAIL decision-loop serial_speedup at 8 candidates:" \
-         "${new}x < 2x" >&2
-    failed=1
-  else
-    echo "bench gate: ok decision-loop serial_speedup at 8 candidates:" \
-         "${new}x >= 2x"
-  fi
-  # The regression rows get a 125% ceiling rather than the usual 110%:
-  # the isolated decision loop shows ~10-17% run-to-run drift at the
-  # larger grid sizes even on an idle host (frequency/cache effects on
-  # a sub-millisecond loop), so a tight ceiling flakes on noise. These
-  # rows guard structural collapses; single-digit drift is the
-  # serial_speedup floor's job.
-  local dl_cand dl_config
-  for dl_cand in 2 4 8 16; do
-    dl_config="decision cand=${dl_cand} pooled"
-    old=$(bench_rate BENCH_hotpath.json ext_twin "$dl_config" decision_ms)
-    new=$(bench_rate "$gate_json" ext_twin "$dl_config" decision_ms)
-    if [[ -z "$old" || -z "$new" ]]; then
-      echo "bench gate: missing decision_ms row for '$dl_config'" >&2
-      failed=1
-      continue
-    fi
-    if awk -v new="$new" -v old="$old" \
-         'BEGIN { exit !(new > 1.25 * old) }'
-    then
-      echo "bench gate: FAIL '$dl_config': decision_ms $new > 125% of" \
-           "baseline $old" >&2
-      failed=1
-    else
-      echo "bench gate: ok '$dl_config': decision_ms $new vs baseline $old"
-    fi
-  done
   return "$failed"
 }
 
@@ -257,8 +207,7 @@ huge_smoke() {
   # same population under a randomized fault cocktail with the schedule
   # validator auditing (exits 1 on a violation).
   echo "==> huge smoke [release]"
-  WEBTX_BENCH_JSON=build-release/BENCH_smoke.json \
-    ./build-release/bench/ext_huge_scale --smoke
+  ./build-release/bench/ext_huge_scale --smoke
   chaos_campaign ./build-release huge 1
 }
 
@@ -281,8 +230,8 @@ chaos_smoke() {
   chaos_campaign ./build twin 25
 }
 
-if [[ "$BENCH_GATE" == "1" ]]; then
-  bench_gate
+if [[ -n "$GATE_REV" ]]; then
+  bench_gate "$GATE_REV"
   echo "All checks passed."
   exit 0
 fi

@@ -479,7 +479,7 @@ Result<TwinReport> Twin::Run(const std::vector<LiveArrival>& arrivals) {
         candidate.max_ready == 0) {
       return Status::InvalidArgument("queue-depth candidate needs max_ready");
     }
-    if (candidate.capacity_slo < 0.0 || candidate.capacity_slo > 1.0) {
+    if (!(candidate.capacity_slo >= 0.0 && candidate.capacity_slo <= 1.0)) {
       return Status::InvalidArgument("capacity_slo must be in [0, 1]");
     }
   }

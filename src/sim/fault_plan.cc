@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -172,9 +174,19 @@ bool FaultStream::DrawCorrelatedVictim(SimTime* repair_duration) {
 }
 
 Result<FaultPlan> FaultPlan::Create(FaultPlanConfig config) {
-  if (config.outage_rate < 0.0 || config.abort_rate < 0.0 ||
-      config.crash_rate < 0.0) {
-    return Status::InvalidArgument("fault rates must be non-negative");
+  // Every range test is written so that NaN fails it. An infinite rate
+  // or mean duration never lets a run's fault timeline move on, so both
+  // are rejected too.
+  for (const auto& [name, value] :
+       {std::pair<const char*, double>{"outage_rate", config.outage_rate},
+        {"abort_rate", config.abort_rate},
+        {"crash_rate", config.crash_rate},
+        {"mean_outage_duration", config.mean_outage_duration},
+        {"mean_repair_duration", config.mean_repair_duration}}) {
+    if (!(value >= 0.0) || std::isinf(value)) {
+      return Status::InvalidArgument(std::string(name) +
+                                     " must be finite and non-negative");
+    }
   }
   if (config.outage_rate > 0.0 && config.mean_outage_duration <= 0.0) {
     return Status::InvalidArgument(
@@ -184,8 +196,8 @@ Result<FaultPlan> FaultPlan::Create(FaultPlanConfig config) {
     return Status::InvalidArgument(
         "mean_repair_duration must be positive when crashes are enabled");
   }
-  if (config.correlated_crash_prob < 0.0 ||
-      config.correlated_crash_prob > 1.0) {
+  if (!(config.correlated_crash_prob >= 0.0 &&
+        config.correlated_crash_prob <= 1.0)) {
     return Status::InvalidArgument(
         "correlated_crash_prob must be in [0, 1]");
   }

@@ -66,6 +66,13 @@ TEST(TwinTest, RejectsInvalidOptions) {
   bad_slo.candidates[1].admission = rt::TwinCandidate::Admission::kBrownout;
   bad_slo.candidates[1].capacity_slo = 1.5;
   EXPECT_FALSE(rt::Twin(bad_slo).Run(arrivals).ok());
+
+  // NaN passes an ordered "< 0 || > 1" test; BrownoutAdmission would
+  // abort on it.
+  rt::TwinOptions nan_slo = bad_slo;
+  nan_slo.candidates[1].capacity_slo = std::nan("");
+  const auto nan_run = rt::Twin(nan_slo).Run(arrivals);
+  EXPECT_EQ(nan_run.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(TwinTest, ControllerOffServesEverythingDeterministically) {

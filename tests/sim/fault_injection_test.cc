@@ -1,5 +1,8 @@
 #include "sim/fault_plan.h"
 
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "sched/policies/single_queue_policies.h"
@@ -42,6 +45,43 @@ TEST(FaultPlanTest, CreateRejectsBadConfig) {
   FaultPlanConfig negative_rate;
   negative_rate.abort_rate = -1.0;
   EXPECT_FALSE(FaultPlan::Create(negative_rate).ok());
+
+  // NaN passes ordered comparisons, and an infinite rate or mean
+  // duration stalls the fault timeline: each must be rejected by name.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* field;
+    double FaultPlanConfig::*member;
+    double value;
+  } kCases[] = {
+      {"outage_rate", &FaultPlanConfig::outage_rate, kNaN},
+      {"outage_rate", &FaultPlanConfig::outage_rate, kInf},
+      {"abort_rate", &FaultPlanConfig::abort_rate, kNaN},
+      {"abort_rate", &FaultPlanConfig::abort_rate, kInf},
+      {"crash_rate", &FaultPlanConfig::crash_rate, kNaN},
+      {"crash_rate", &FaultPlanConfig::crash_rate, kInf},
+      {"mean_outage_duration", &FaultPlanConfig::mean_outage_duration, kNaN},
+      {"mean_outage_duration", &FaultPlanConfig::mean_outage_duration, kInf},
+      {"mean_repair_duration", &FaultPlanConfig::mean_repair_duration, kNaN},
+      {"mean_repair_duration", &FaultPlanConfig::mean_repair_duration, kInf},
+      {"correlated_crash_prob", &FaultPlanConfig::correlated_crash_prob,
+       kNaN},
+  };
+  for (const auto& c : kCases) {
+    FaultPlanConfig config;  // every stream on, so each field is live
+    config.outage_rate = 0.1;
+    config.mean_outage_duration = 5.0;
+    config.abort_rate = 0.1;
+    config.crash_rate = 0.1;
+    config.mean_repair_duration = 5.0;
+    config.*c.member = c.value;
+    const Status status = FaultPlan::Create(config).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << c.field << " = " << c.value;
+    EXPECT_NE(status.message().find(c.field), std::string::npos)
+        << status.message();
+  }
 }
 
 TEST(FaultPlanTest, StreamsAreDeterministic) {

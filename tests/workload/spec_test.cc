@@ -1,5 +1,8 @@
 #include "workload/spec.h"
 
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/distributions.h"
@@ -62,6 +65,32 @@ TEST(WorkloadSpecTest, ValidationRejectsBadParameters) {
                }).ok());
   EXPECT_FALSE(broken([](auto& s) { s.max_workflow_length = 0; }).ok());
   EXPECT_FALSE(broken([](auto& s) { s.max_workflows_per_txn = 0; }).ok());
+
+  // NaN fails every ordered comparison, so each range test must reject
+  // it explicitly; an infinite utilization collapses all arrivals to 0.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* field;
+    double WorkloadSpec::*member;
+    double value;
+  } kCases[] = {
+      {"utilization", &WorkloadSpec::utilization, kNaN},
+      {"utilization", &WorkloadSpec::utilization, kInf},
+      {"k_max", &WorkloadSpec::k_max, kNaN},
+      {"zipf_alpha", &WorkloadSpec::zipf_alpha, kNaN},
+      {"burstiness", &WorkloadSpec::burstiness, kNaN},
+      {"estimate_error", &WorkloadSpec::estimate_error, kNaN},
+  };
+  for (const auto& c : kCases) {
+    WorkloadSpec spec;
+    spec.*c.member = c.value;
+    const Status status = spec.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << c.field << " = " << c.value;
+    EXPECT_NE(status.message().find(c.field), std::string::npos)
+        << status.message();
+  }
 }
 
 }  // namespace
