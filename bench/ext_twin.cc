@@ -153,14 +153,8 @@ rt::TwinArrivalWindow DecisionWindow() {
   return window;
 }
 
-struct DecisionLoopResult {
-  double ms_per_tick = 0.0;
-  /// Forecast winner per measured tick (incumbent fixed at 0) — the
-  /// pruning win-rate-preservation comparison keys off these.
-  std::vector<uint32_t> winners;
-};
-
-DecisionLoopResult MeasureDecisionLoop(const rt::TwinOptions& options) {
+/// Best-of-k wall-clock milliseconds per Forecast() call.
+double MeasureDecisionLoop(const rt::TwinOptions& options) {
   const rt::ExecutorSnapshot snap = DecisionSnapshot();
   const rt::TwinArrivalWindow window = DecisionWindow();
   auto engine = rt::TwinForecastEngine::Create(options);
@@ -169,34 +163,22 @@ DecisionLoopResult MeasureDecisionLoop(const rt::TwinOptions& options) {
   // Several short repetitions of the same tick cycle; the per-tick cost
   // is the best repetition (min-of-k filters scheduler and frequency
   // noise out of a wall-clock microbench; every repetition does
-  // identical work). Winners are recorded on the first repetition —
-  // forecasts are pure functions of (snapshot, window, tick), so every
-  // repetition ranks identically.
+  // identical work).
   constexpr size_t kWarmup = 3;
   constexpr size_t kReps = 7;
   constexpr size_t kItersPerRep = 78;  // 6 full 13-tick cycles
   for (size_t w = 0; w < kWarmup; ++w) (void)e.Forecast(snap, window, 7, 0);
-  DecisionLoopResult out;
-  out.winners.reserve(kItersPerRep);
   double best_ms = std::numeric_limits<double>::infinity();
   for (size_t rep = 0; rep < kReps; ++rep) {
     const rt::TwinDecisionStats before = e.stats();
     for (size_t i = 0; i < kItersPerRep; ++i) {
       // Vary the tick so every synthetic-arrival stream in a 13-tick
       // cycle is exercised; the sequence is identical across variants.
-      const std::vector<rt::TwinForecast>& table =
-          e.Forecast(snap, window, 7 + (i % 13), 0);
-      if (rep > 0) continue;
-      uint32_t best = 0;
-      for (uint32_t c = 1; c < table.size(); ++c) {
-        if (table[c].score < table[best].score) best = c;
-      }
-      out.winners.push_back(best);
+      (void)e.Forecast(snap, window, 7 + (i % 13), 0);
     }
     best_ms = std::min(best_ms, e.stats().decision_ms - before.decision_ms);
   }
-  out.ms_per_tick = best_ms / static_cast<double>(kItersPerRep);
-  return out;
+  return best_ms / static_cast<double>(kItersPerRep);
 }
 
 /// Digest of one whole twin run (the contract check half of the grid).
@@ -265,12 +247,10 @@ int main() {
   const auto print_stats = [](const std::string& label, const RunRow& row) {
     const rt::TwinDecisionStats& s = row.report.decision_stats;
     std::printf(
-        "%-11s decision_ms %.3f  forecast_events %llu  forecasts_run %llu"
-        "  forecasts_pruned %llu\n",
+        "%-11s decision_ms %.3f  forecast_events %llu  forecasts_run %llu\n",
         label.c_str(), s.decision_ms,
         static_cast<unsigned long long>(s.forecast_events),
-        static_cast<unsigned long long>(s.forecasts_run),
-        static_cast<unsigned long long>(s.forecasts_pruned));
+        static_cast<unsigned long long>(s.forecasts_run));
   };
   std::printf("\nDecision-loop cost (whole run, wall clock):\n");
   print_stats("controller", controller_run);
@@ -307,21 +287,17 @@ int main() {
 
   // ------------------------------------------------------------------
   // Decision-loop cost grid: the per-tick forecast fan-out at 2/4/8/16
-  // candidates under three forecast-execution configurations, measured
-  // on an isolated TwinForecastEngine over a fixed snapshot (stable
-  // wall clock — no executor threads competing for cores). The contract
-  // half is hard-gated on whole twin runs (serial and threads=8 digests
-  // must be byte-identical — execution strategy may only change cost);
-  // the cost half is printed. The decision cost a change must hold is
-  // the repository benchmark's twin_flash decision_ms_p50/p99
-  // (perfbench/), compared across revisions by scripts/bench_ab.sh.
-  // Pruning is the one knob allowed to change decisions, so its
-  // agreement is REPORTED (per-tick winner match rate + whole-run digest
-  // match), not gated.
+  // candidates, serial and over 8 threads, measured on an isolated
+  // TwinForecastEngine over a fixed snapshot (stable wall clock — no
+  // executor threads competing for cores). The contract half is
+  // hard-gated on whole twin runs (serial and threads=8 digests must be
+  // byte-identical — execution strategy may only change cost); the cost
+  // half is printed. The decision cost a change must hold is the
+  // repository benchmark's twin_flash decision_ms_p50/p99 (perfbench/),
+  // compared across revisions by scripts/bench_ab.sh.
   std::printf("\nDecision-loop cost grid (ms per control tick):\n\n");
-  const std::vector<std::string> grid_header = {
-      "candidates",  "pooled_ms",    "prune_ms",
-      "threads8_ms", "winner_match", "prune_digest_match"};
+  const std::vector<std::string> grid_header = {"candidates", "pooled_ms",
+                                                "threads8_ms"};
   Table grid(grid_header);
   bool decision_digests_ok = true;
   for (const size_t cand : {size_t{2}, size_t{4}, size_t{8}, size_t{16}}) {
@@ -329,8 +305,6 @@ int main() {
     base.candidates = DecisionCandidates(cand);
 
     const rt::TwinOptions pooled = base;  // pooled serial is the default
-    rt::TwinOptions prune = base;
-    prune.prune = true;
     rt::TwinOptions threads8 = base;
     threads8.forecast_threads = 8;
 
@@ -345,28 +319,14 @@ int main() {
                    static_cast<unsigned long long>(threads8_digest));
       decision_digests_ok = false;
     }
-    const bool prune_same = TwinDigestOf(prune, arrivals) == pooled_digest;
 
     // Cost: the isolated per-tick fan-out.
-    const DecisionLoopResult pooled_loop = MeasureDecisionLoop(pooled);
-    const DecisionLoopResult prune_loop = MeasureDecisionLoop(prune);
-    const DecisionLoopResult threads8_loop = MeasureDecisionLoop(threads8);
-
-    size_t winner_matches = 0;
-    for (size_t i = 0; i < pooled_loop.winners.size(); ++i) {
-      winner_matches += prune_loop.winners[i] == pooled_loop.winners[i];
-    }
-    const double winner_match =
-        static_cast<double>(winner_matches) /
-        static_cast<double>(pooled_loop.winners.size());
-    grid.AddNumericRow(
-        std::to_string(cand),
-        {pooled_loop.ms_per_tick, prune_loop.ms_per_tick,
-         threads8_loop.ms_per_tick, winner_match, prune_same ? 1.0 : 0.0});
+    grid.AddNumericRow(std::to_string(cand), {MeasureDecisionLoop(pooled),
+                                              MeasureDecisionLoop(threads8)});
   }
   grid.Print(std::cout);
   std::printf(
-      "(every column is serial except threads8, whose speedup depends on "
+      "(pooled_ms is the serial default; threads8's speedup depends on "
       "free cores)\n");
   bench::SaveCsv(grid, "ext_twin_decision_loop");
 

@@ -7,7 +7,10 @@
 #
 # After the test matrix, a bench-smoke stage builds the Release preset
 # (-O3 -DNDEBUG) and runs each perf bench binary on a minimal workload
-# — this catches bit-rot in the bench harnesses.
+# — this catches bit-rot in the bench harnesses — then builds the
+# repository benchmark (perfbench/) and runs its self-test, so a change
+# that breaks the program surface perfbench compiles against fails here
+# rather than only in the opt-in bench gate.
 #
 # A chaos-smoke stage runs the randomized fault-injection campaigns of
 # tools/chaos against the plain build, one engine over four profiles at
@@ -16,7 +19,8 @@
 # multi-server cases whose "-sharded" policy variant must reproduce the
 # global-state digest) and twin (25 digital-twin cases whose digest must
 # not move across forecast_threads 1/2/8; the forecast-engine unit
-# suite runs first). Every case runs twice (digests must match) and is
+# suite, which pins the serial forecast table and the thread fan-out
+# against it, runs first). Every case runs twice (digests must match) and is
 # audited by its validator; a failing case is auto-shrunk and the
 # reproducer path is printed — commit it under
 # tests/integration/replays/ to pin the regression.
@@ -97,6 +101,8 @@ bench_smoke() {
   ./build-release/bench/micro_scheduler_overhead \
     --benchmark_min_time=0.01 \
     --benchmark_filter='BM_PolicyEventCost.*/256$|BM_IndexedPq.*/64$'
+  echo "==> perfbench self-test"
+  python3 perfbench/run.py --selftest
 }
 
 bench_gate() {
@@ -221,8 +227,8 @@ chaos_campaign() {
 
 chaos_smoke() {
   echo "==> chaos smoke [default]"
-  # Parallel fan-out and pruning must be byte-identical to the serial
-  # forecast baseline before the randomized twin campaign bothers.
+  # The parallel fan-out must be byte-identical to the serial forecast
+  # baseline before the randomized twin campaign bothers.
   ./build/tests/rt_test --gtest_filter='TwinForecastEngineTest.*'
   chaos_campaign ./build sim 100
   chaos_campaign ./build live 50

@@ -476,8 +476,6 @@ std::vector<Field<TwinChaosCase>> TwinFields() {
                       kPositive),
        UnsignedField<C>("forecast_threads", t(&T::forecast_threads), 0,
                         kMaxForecastThreads),
-       BoolField<C>("prune", t(&T::prune)),
-       DoubleField<C>("prune_prefix", t(&T::prune_prefix)),
        UnsignedField<C>("num_workers", t(&T::num_workers), 1, kMaxIds)},
       ExecutorFaultFields<C, T>(t),
       WatchdogFields<C, T>(t),
@@ -675,10 +673,6 @@ TwinChaosCase RandomTwinChaosCase(uint64_t master_seed, uint64_t index) {
   // is unchanged; digest-neutral by contract (the neutral variants).
   const double threads_draw = rng.NextDouble();
   ctl.forecast_threads = threads_draw < 0.5 ? 1 : (threads_draw < 0.8 ? 2 : 8);
-  if (rng.NextDouble() < 0.25) {
-    ctl.prune = true;
-    ctl.prune_prefix = 0.3 + 0.5 * rng.NextDouble();
-  }
   return c;
 }
 

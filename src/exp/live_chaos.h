@@ -120,11 +120,7 @@ struct TwinChaosCase {
                               .spike_duration = 0.5};
   /// The controller and the executor it steers (workers, faults,
   /// retries, watchdog).
-  rt::TwinOptions controller = [] {
-    rt::TwinOptions options;
-    options.prune_prefix = 0.4;
-    return options;
-  }();
+  rt::TwinOptions controller;
 };
 
 /// Executes one case to quiescence and returns the twin's full report.

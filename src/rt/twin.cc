@@ -20,6 +20,9 @@ namespace {
 // DeriveSeed stream tag of the per-tick synthetic-arrival forecasts.
 constexpr uint64_t kForecastStream = 0x7D161A17ull;
 
+/// Cap on synthetic future arrivals per forecast (tick cost bound).
+constexpr size_t kMaxForecastArrivals = 2000;
+
 /// Smallest service time the shadow simulator is fed (mirrors the live
 /// harness floor in workload/live_arrivals.cc).
 constexpr double kMinForecastSeconds = 1e-4;
@@ -50,6 +53,27 @@ AdmissionFactory AdmissionFor(const TwinCandidate& candidate) {
     }
   }
   return nullptr;
+}
+
+/// The candidate checks of Twin::Run and TwinForecastEngine::Create:
+/// every spec and admission knob is checked up front, so neither a
+/// per-tick CreatePolicy call nor an admission controller's CHECK can
+/// fail mid-run.
+Status ValidateCandidates(const std::vector<TwinCandidate>& candidates) {
+  if (candidates.empty()) {
+    return Status::InvalidArgument("twin needs at least one candidate");
+  }
+  for (const TwinCandidate& candidate : candidates) {
+    WEBTX_RETURN_NOT_OK(CreatePolicy(candidate.policy).status());
+    if (candidate.admission == TwinCandidate::Admission::kQueueDepth &&
+        candidate.max_ready == 0) {
+      return Status::InvalidArgument("queue-depth candidate needs max_ready");
+    }
+    if (!(candidate.capacity_slo >= 0.0 && candidate.capacity_slo <= 1.0)) {
+      return Status::InvalidArgument("capacity_slo must be in [0, 1]");
+    }
+  }
+  return Status::OK();
 }
 
 /// Mutable controller state threaded through the serving loop.
@@ -92,13 +116,7 @@ TwinForecastEngine::~TwinForecastEngine() = default;
 
 Result<TwinForecastEngine> TwinForecastEngine::Create(
     const TwinOptions& options) {
-  if (options.candidates.empty()) {
-    return Status::InvalidArgument("twin needs at least one candidate");
-  }
-  if (options.prune &&
-      !(options.prune_prefix > 0.0 && options.prune_prefix <= 1.0)) {
-    return Status::InvalidArgument("prune_prefix must be in (0, 1]");
-  }
+  WEBTX_RETURN_NOT_OK(ValidateCandidates(options.candidates));
   TwinForecastEngine engine;
   engine.options_ = options;
   const size_t threads = options.forecast_threads == 0
@@ -107,7 +125,7 @@ Result<TwinForecastEngine> TwinForecastEngine::Create(
   // The control thread is one worker, so forecast_threads = N means
   // N-1 pool helpers; 1 stays a plain serial loop with no pool at all.
   if (threads > 1) engine.pool_ = std::make_unique<ThreadPool>(threads - 1);
-  engine.full_ = std::make_shared<SimWorkload>();
+  engine.workload_ = std::make_shared<SimWorkload>();
   engine.slots_.reserve(options.candidates.size());
   for (const TwinCandidate& candidate : options.candidates) {
     Slot slot;
@@ -117,7 +135,7 @@ Result<TwinForecastEngine> TwinForecastEngine::Create(
     sim_options.record_outcomes = false;
     WEBTX_ASSIGN_OR_RETURN(
         Simulator sim,
-        Simulator::CreateShared(engine.full_, std::move(sim_options)));
+        Simulator::CreateShared(engine.workload_, std::move(sim_options)));
     slot.sim = std::make_unique<Simulator>(std::move(sim));
     engine.slots_.push_back(std::move(slot));
   }
@@ -177,7 +195,7 @@ void TwinForecastEngine::BuildSpecsInto(const ExecutorSnapshot& snap,
     double t = ExpDraw(rng, 1.0 / rate);
     size_t synthesized = 0;
     while (t < options.forecast_horizon &&
-           synthesized < options.max_forecast_arrivals) {
+           synthesized < kMaxForecastArrivals) {
       TransactionSpec spec;
       spec.id = specs.size();
       spec.arrival = t;
@@ -194,17 +212,11 @@ void TwinForecastEngine::BuildSpecsInto(const ExecutorSnapshot& snap,
   }
 }
 
-TwinForecast TwinForecastEngine::ForecastOne(size_t index, bool full_horizon,
+TwinForecast TwinForecastEngine::ForecastOne(size_t index,
                                              size_t num_workers_up) {
-  // The pruning pass scores candidates on a simulated-time prefix of
-  // the horizon: the SAME workload, cut off at prune_prefix of the
-  // horizon, so it pays only the events due before the cutoff.
-  const SimTime run_horizon =
-      full_horizon ? 0.0 : options_.prune_prefix * options_.forecast_horizon;
   Slot& slot = slots_[index];
-  slot.sim->BindWorkload(full_);
+  slot.sim->BindWorkload(workload_);
   slot.sim->set_num_servers(std::max<size_t>(1, num_workers_up));
-  slot.sim->set_run_horizon(run_horizon);
   const RunResult r = slot.sim->Run(*slot.policy);
   slot_events_[index] += r.num_scheduling_points;
   TwinForecast f;
@@ -230,59 +242,18 @@ const std::vector<TwinForecast>& TwinForecastEngine::Forecast(
     for (TwinForecast& f : forecasts_) f.score = 0.0;
   } else {
     const size_t num_up = snap.num_workers_up;
-    const bool prune = options_.prune && num_candidates >= 2;
-    if (full_->Rebuild(spec_buffer_).ok()) {
-      survivor_.assign(num_candidates, 1);
-      const auto run_phase = [&](bool full_horizon) {
-        const auto job = [&](size_t i) {
-          if (!survivor_[i]) return;
-          const TwinForecast f = ForecastOne(i, full_horizon, num_up);
-          // Each candidate writes only its own index, so the merged
-          // table is identical for any thread count.
-          if (full_horizon) {
-            forecasts_[i] = f;
-          } else {
-            prefix_score_[i] = f.score;
-          }
-        };
-        if (pool_ != nullptr) {
-          pool_->RunBatch(num_candidates, job);
-        } else {
-          for (size_t i = 0; i < num_candidates; ++i) job(i);
-        }
+    if (workload_->Rebuild(spec_buffer_).ok()) {
+      // Each candidate writes only its own index, so the merged table is
+      // identical for any thread count.
+      const auto job = [&](size_t i) {
+        forecasts_[i] = ForecastOne(i, num_up);
       };
-      if (prune) {
-        prefix_score_.assign(num_candidates, 0.0);
-        run_phase(/*full_horizon=*/false);
-        // Successive halving: keep the top ceil(K/2) by (prefix score,
-        // index) — the index tiebreak keeps survivor selection total —
-        // and always the incumbent, whose full-horizon forecast feeds
-        // the decision digest and the divergence guard.
-        order_.resize(num_candidates);
-        for (size_t i = 0; i < num_candidates; ++i) {
-          order_[i] = static_cast<uint32_t>(i);
-        }
-        std::sort(order_.begin(), order_.end(),
-                  [this](uint32_t a, uint32_t b) {
-                    if (prefix_score_[a] != prefix_score_[b]) {
-                      return prefix_score_[a] < prefix_score_[b];
-                    }
-                    return a < b;
-                  });
-        const size_t keep = (num_candidates + 1) / 2;
-        survivor_.assign(num_candidates, 0);
-        for (size_t k = 0; k < keep; ++k) survivor_[order_[k]] = 1;
-        survivor_[incumbent] = 1;
+      if (pool_ != nullptr) {
+        pool_->RunBatch(num_candidates, job);
+      } else {
+        for (size_t i = 0; i < num_candidates; ++i) job(i);
       }
-      run_phase(/*full_horizon=*/true);
-      for (size_t i = 0; i < num_candidates; ++i) {
-        if (survivor_[i]) {
-          ++stats_.forecasts_run;
-        } else {
-          forecasts_[i].pruned = true;  // keeps the default infinite score
-          ++stats_.forecasts_pruned;
-        }
-      }
+      stats_.forecasts_run += num_candidates;
     }
     // Otherwise an invalid spec made the shared workload unbuildable:
     // every candidate keeps the default infinite score.
@@ -453,9 +424,7 @@ uint64_t TwinDigest(const TwinReport& report) {
 }  // namespace
 
 Result<TwinReport> Twin::Run(const std::vector<LiveArrival>& arrivals) {
-  if (options_.candidates.empty()) {
-    return Status::InvalidArgument("twin needs at least one candidate");
-  }
+  WEBTX_RETURN_NOT_OK(ValidateCandidates(options_.candidates));
   if (options_.static_index >= options_.candidates.size()) {
     return Status::InvalidArgument("static_index out of range");
   }
@@ -470,26 +439,12 @@ Result<TwinReport> Twin::Run(const std::vector<LiveArrival>& arrivals) {
   if (!(options_.snapshot_corruption > 0.0)) {
     return Status::InvalidArgument("snapshot_corruption must be > 0");
   }
-  // Validate every candidate spec up front so per-tick CreatePolicy
-  // calls cannot fail mid-run.
-  for (const TwinCandidate& candidate : options_.candidates) {
-    WEBTX_ASSIGN_OR_RETURN(auto probe, CreatePolicy(candidate.policy));
-    (void)probe;
-    if (candidate.admission == TwinCandidate::Admission::kQueueDepth &&
-        candidate.max_ready == 0) {
-      return Status::InvalidArgument("queue-depth candidate needs max_ready");
-    }
-    if (!(candidate.capacity_slo >= 0.0 && candidate.capacity_slo <= 1.0)) {
-      return Status::InvalidArgument("capacity_slo must be in [0, 1]");
-    }
-  }
   WEBTX_ASSIGN_OR_RETURN(FaultPlan plan_check,
                          FaultPlan::Create(options_.faults.plan));
   (void)plan_check;
 
-  // The forecast engine owns the per-candidate shadow simulators (and
-  // validates the forecast-execution knobs); only built when control
-  // ticks will actually run.
+  // The forecast engine owns the per-candidate shadow simulators; only
+  // built when control ticks will actually run.
   std::unique_ptr<TwinForecastEngine> engine;
   if (options_.controller_enabled) {
     WEBTX_ASSIGN_OR_RETURN(TwinForecastEngine built,

@@ -78,33 +78,14 @@ struct TwinOptions {
   /// faithful model; anything else corrupts the twin — the forced-
   /// divergence hook the guard's acceptance test leans on.
   double snapshot_corruption = 1.0;
-  /// Cap on synthetic future arrivals per forecast (tick cost bound).
-  size_t max_forecast_arrivals = 2000;
 
-  // -- Forecast execution (decision-loop cost knobs) --
-  // None of these may change WHAT the controller decides, only how fast
-  // it decides it: the decision sequence (and so TwinReport::digest) is
-  // byte-identical across every setting below, except that `prune` is
-  // identity-preserving only when the halved prefix ranking keeps the
-  // full-horizon winner (pinned by differential tests on the committed
-  // scenarios; prune stays off by default).
+  // -- Forecast execution (decision-loop cost knob) --
   /// Worker threads for the per-candidate forecast fan-out. 1 = serial
-  /// in the control thread; 0 = hardware concurrency. Results merge in
-  /// candidate-index order, so the digest is thread-count invariant.
+  /// in the control thread; 0 = hardware concurrency. Changes only how
+  /// fast the controller decides, never what: results merge in
+  /// candidate-index order, so the decision sequence (and so
+  /// TwinReport::digest) is thread-count invariant.
   size_t forecast_threads = 1;
-  /// Successive-halving candidate pruning: score every candidate on a
-  /// simulated-time prefix of the horizon (the same shared workload
-  /// under a SimOptions::run_horizon cutoff, so the prefix pass pays
-  /// only a fraction of the full event count), keep the top half (plus,
-  /// always, the applied candidate — its full-horizon forecast feeds
-  /// the digest and the divergence guard), and only extend survivors to
-  /// the full horizon.
-  bool prune = false;
-  /// Prefix length for the pruning pass, as a fraction of
-  /// forecast_horizon (in (0, 1]; only validated when prune is on). The
-  /// default is one of the prefix lengths the committed flash-crowd
-  /// differential pins as digest-preserving (tests/rt/twin_test.cc).
-  double prune_prefix = 0.35;
 
   // -- Live executor knobs (mirror ExecutorOptions) --
   FaultInjectorOptions faults;
@@ -164,12 +145,11 @@ struct TwinArrivalWindow {
 
 /// One candidate's shadow-forecast outcome for a control tick. A
 /// default-constructed value (infinite score) means "not ranked": the
-/// candidate was pruned or its shadow run could not be built.
+/// candidate's shadow run could not be built.
 struct TwinForecast {
   double tardiness = 0.0;
   double shed_ratio = 0.0;
   double score = std::numeric_limits<double>::infinity();
-  bool pruned = false;
 };
 
 /// Decision-loop cost counters, accumulated across every Forecast()
@@ -177,14 +157,17 @@ struct TwinForecast {
 /// these are reporting-only.
 struct TwinDecisionStats {
   /// Wall-clock milliseconds spent inside Forecast() (spec build, shadow
-  /// runs, pruning, merge).
+  /// runs, merge).
   double decision_ms = 0.0;
-  /// Scheduling points executed across all shadow runs (prefix and
-  /// full-horizon), summed in candidate-index order.
+  /// Scheduling points executed across all shadow runs, summed in
+  /// candidate-index order.
   uint64_t forecast_events = 0;
-  /// Full-horizon candidate forecasts executed.
+  /// Candidate forecasts executed (every shadow run scores the full
+  /// horizon).
   uint64_t forecasts_run = 0;
-  /// Candidates stopped at the prefix horizon by pruning.
+  /// Always 0: every candidate is forecast on every forecasting tick.
+  /// Kept because the repository benchmark reads it
+  /// (rt.twin.forecasts_pruned).
   uint64_t forecasts_pruned = 0;
 };
 
@@ -196,17 +179,15 @@ struct TwinDecisionStats {
 ///
 /// Cost model: specs are built once per tick into a shared immutable
 /// SimWorkload, and each candidate slot keeps a warm simulator (scratch
-/// arenas survive across ticks) and a reusable policy. On top of that
-/// (all digest-neutral, see TwinOptions):
-///  - forecast_threads: candidates fan out over a ThreadPool; slots are
-///    fully independent, and results land at their candidate index, so
-///    the merge order — and therefore the decision — is deterministic.
-///  - prune: successive halving over a prefix horizon (the applied
-///    candidate always runs the full horizon).
+/// arenas survive across ticks) and a reusable policy. With
+/// forecast_threads > 1 the candidates fan out over a ThreadPool; slots
+/// are fully independent, and results land at their candidate index, so
+/// the merge order — and therefore the decision — is deterministic.
 class TwinForecastEngine {
  public:
-  /// Validates the forecast-relevant options (candidate policies,
-  /// prune_prefix, ...) and builds the candidate slots.
+  /// Validates the candidate table as Twin::Run does (non-empty, known
+  /// policy specs, queue-depth max_ready >= 1, capacity_slo in [0, 1];
+  /// InvalidArgument names the field) and builds the candidate slots.
   static Result<TwinForecastEngine> Create(const TwinOptions& options);
 
   TwinForecastEngine(TwinForecastEngine&&) noexcept;
@@ -214,11 +195,11 @@ class TwinForecastEngine {
   ~TwinForecastEngine();
 
   /// Runs every candidate's shadow forecast for one control tick.
-  /// `incumbent` is the currently applied candidate index (never
-  /// pruned). The returned reference is owned by the engine and valid
-  /// until the next Forecast() call. Deterministic for fixed inputs
-  /// regardless of forecast_threads. Not thread-safe; one Forecast() at
-  /// a time.
+  /// `incumbent` is the currently applied candidate index; it must be in
+  /// range but does not change the table. The returned reference is
+  /// owned by the engine and valid until the next Forecast() call.
+  /// Deterministic for fixed inputs regardless of forecast_threads. Not
+  /// thread-safe; one Forecast() at a time.
   const std::vector<TwinForecast>& Forecast(const ExecutorSnapshot& snap,
                                             const TwinArrivalWindow& window,
                                             uint64_t tick,
@@ -241,26 +222,20 @@ class TwinForecastEngine {
   void BuildSpecsInto(const ExecutorSnapshot& snap,
                       const TwinArrivalWindow& window, uint64_t tick);
 
-  /// Forecasts candidate `index` on the full or prefix workload,
-  /// adding the run's scheduling points to slot_events_[index].
-  TwinForecast ForecastOne(size_t index, bool full_horizon,
-                           size_t num_workers_up);
+  /// Forecasts candidate `index` on the shared workload, adding the
+  /// run's scheduling points to slot_events_[index].
+  TwinForecast ForecastOne(size_t index, size_t num_workers_up);
 
   TwinOptions options_;
   std::unique_ptr<ThreadPool> pool_;  // null when forecast_threads == 1
   /// The shared per-tick workload. Mutated only between shadow runs,
-  /// via Rebuild; pruning's prefix pass runs the SAME workload under a
-  /// simulated-time cutoff (SimOptions::run_horizon), not a separate
-  /// spec prefix.
-  std::shared_ptr<SimWorkload> full_;
+  /// via Rebuild.
+  std::shared_ptr<SimWorkload> workload_;
   std::vector<Slot> slots_;
   // Reused per-tick buffers.
   std::vector<TransactionSpec> spec_buffer_;
   std::vector<TxnId> remap_;
   std::vector<TwinForecast> forecasts_;
-  std::vector<double> prefix_score_;
-  std::vector<uint32_t> order_;
-  std::vector<char> survivor_;
   std::vector<uint64_t> slot_events_;
   TwinDecisionStats stats_;
 };

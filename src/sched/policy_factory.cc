@@ -70,7 +70,7 @@ Result<std::unique_ptr<SchedulerPolicy>> CreatePolicy(
   if (spec.rfind("MIX(", 0) == 0 && spec.back() == ')') {
     WEBTX_ASSIGN_OR_RETURN(
         const double beta, ParseDouble(spec.substr(4, spec.size() - 5)));
-    if (beta < 0.0 || beta > 1.0) {
+    if (!(beta >= 0.0 && beta <= 1.0)) {
       return Status::InvalidArgument("MIX beta must be in [0, 1]: " + spec);
     }
     return std::unique_ptr<SchedulerPolicy>(
@@ -103,7 +103,8 @@ Result<std::unique_ptr<SchedulerPolicy>> CreatePolicy(
                                      "' in " + spec);
     }
     WEBTX_ASSIGN_OR_RETURN(options.rate, ParseDouble(args.substr(eq + 1)));
-    if (options.rate <= 0.0) {
+    // An infinite rate is legal: 1/inf activates at every point.
+    if (!(options.rate > 0.0)) {
       return Status::InvalidArgument("activation rate must be positive: " +
                                      spec);
     }

@@ -33,12 +33,8 @@ RunResult RunResult::FromOutcomes(std::string policy_name,
 
 RunResult RunResult::FromOutcomesView(
     std::string policy_name, const std::vector<TransactionSpec>& specs,
-    const std::vector<TxnOutcome>& outcomes,
-    const std::vector<char>* resolved) {
+    const std::vector<TxnOutcome>& outcomes) {
   WEBTX_CHECK_EQ(specs.size(), outcomes.size());
-  if (resolved != nullptr) {
-    WEBTX_CHECK_EQ(resolved->size(), outcomes.size());
-  }
   RunResult r;
   r.policy_name = std::move(policy_name);
   const size_t n = outcomes.size();
@@ -51,18 +47,9 @@ RunResult RunResult::FromOutcomesView(
   double sum_wt = 0.0;
   double sum_resp = 0.0;
   size_t missed = 0;
-  size_t num_resolved = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const TxnOutcome& o = outcomes[i];
-    // Per-event counters accumulate as they happen, so they are valid
-    // even for transactions still in flight at a horizon cutoff.
+  for (const TxnOutcome& o : outcomes) {
     r.num_aborts += o.aborts;
     r.num_migrations += o.migrations;
-    if (resolved != nullptr && !(*resolved)[i]) {
-      ++missed;  // not completed by the cutoff
-      continue;
-    }
-    ++num_resolved;
     switch (o.fate) {
       case TxnFate::kCompleted:
         ++r.num_completed;
@@ -92,8 +79,8 @@ RunResult RunResult::FromOutcomesView(
   }
   WEBTX_CHECK_EQ(r.num_completed + r.num_shed + r.num_dropped_retries +
                      r.num_dropped_dependency,
-                 num_resolved)
-      << "per-fate counts must partition the resolved transactions";
+                 n)
+      << "per-fate counts must partition the transactions";
   const auto dc = static_cast<double>(std::max<size_t>(r.num_completed, 1));
   r.avg_tardiness = sum_t / dc;
   r.avg_weighted_tardiness = sum_wt / dc;

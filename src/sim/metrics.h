@@ -136,21 +136,9 @@ struct RunResult {
   /// = false path, where stealing the buffer would defeat a pooled
   /// simulator's scratch reuse. Aggregates are bit-identical to
   /// FromOutcomes of the same data.
-  ///
-  /// `resolved`, when non-null, aggregates a horizon-bounded run
-  /// (SimOptions::run_horizon): only transactions with resolved[i] != 0
-  /// reached a terminal fate before the cutoff; the rest have
-  /// default-constructed outcomes whose fate and tardiness are NOT read
-  /// (TxnOutcome::fate defaults to kCompleted, so treating them as
-  /// terminal would silently count every unfinished transaction as a
-  /// zero-tardiness completion). Unresolved transactions count against
-  /// goodput and the miss ratio and stay out of the tardiness / response
-  /// aggregates — a ranking signal over identical cutoffs, not a prefix
-  /// of the unbounded run's metrics.
-  static RunResult FromOutcomesView(
-      std::string policy_name, const std::vector<TransactionSpec>& specs,
-      const std::vector<TxnOutcome>& outcomes,
-      const std::vector<char>* resolved = nullptr);
+  static RunResult FromOutcomesView(std::string policy_name,
+                                    const std::vector<TransactionSpec>& specs,
+                                    const std::vector<TxnOutcome>& outcomes);
 };
 
 }  // namespace webtx

@@ -212,8 +212,6 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   // OnRemainingUpdated; hoisting the predicate skips up to k no-op
   // virtual calls per scheduling point.
   const bool wants_remaining = policy.WantsRemainingUpdates();
-  const SimTime run_horizon = options_.run_horizon;
-  bool horizon_cut = false;
   const bool correlated =
       options_.fault_plan.config().correlated_crash_prob > 0.0;
 
@@ -500,14 +498,6 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
         << "simulation stalled: " << (n - resolved_count)
         << " transactions unresolved, nothing running, no arrivals left "
            "(policy idled while work was pending?)";
-
-    // Horizon-bounded runs stop before the first event past the cutoff;
-    // everything unresolved stays unresolved and is aggregated as such
-    // below (FromOutcomesView's resolved mask).
-    if (run_horizon > 0.0 && best.time > run_horizon) {
-      horizon_cut = true;
-      break;
-    }
 
     now = best.time;
     charge_progress(now);
@@ -819,11 +809,9 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
 
   // The fold aggregates in place; record_outcomes then steals the
   // scratch outcomes buffer into the result, otherwise the buffer stays
-  // with the scratch arena for the next run. A horizon-bounded run must
-  // not read unresolved outcomes (their fate field is
-  // default-initialized), so it passes the resolved mask.
-  RunResult result = RunResult::FromOutcomesView(
-      policy.name(), specs, outcomes, horizon_cut ? &finished_ : nullptr);
+  // with the scratch arena for the next run.
+  RunResult result =
+      RunResult::FromOutcomesView(policy.name(), specs, outcomes);
   if (options_.record_outcomes) result.outcomes = std::move(outcomes);
   result.num_scheduling_points = scheduling_points;
   result.num_preemptions = preemptions;

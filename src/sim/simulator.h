@@ -112,18 +112,6 @@ struct SimOptions {
   /// scheduling policy learns of the transaction; null admits everything.
   /// A fresh controller is constructed per Run.
   AdmissionFactory admission;
-  /// Simulated-time cutoff (0 = run to completion, the default). When
-  /// > 0, Run stops before processing the first event past this instant
-  /// and aggregates via RunResult::FromOutcomesView's resolved mask:
-  /// transactions unresolved at the cutoff count against goodput / miss
-  /// ratio and stay out of the tardiness aggregates. Unlike every other
-  /// knob in this struct, a bounded run's metrics are NOT those of the
-  /// unbounded run — this is a ranking signal for what-if forecasts
-  /// scored on identical cutoffs (the twin's successive-halving prune),
-  /// priced at a fraction of the full event count. Ignored by
-  /// record_schedule consumers: segments still open at the cutoff are
-  /// not emitted.
-  SimTime run_horizon = 0.0;
 };
 
 /// Discrete-event RTDBMS simulator (paper Sec. IV-A): one or more servers
@@ -245,13 +233,6 @@ class Simulator final : public SimView {
   /// pool's up-count into its pooled forecast sims). Must be >= 1.
   void set_num_servers(size_t num_servers) {
     options_.num_servers = num_servers;
-  }
-
-  /// Adjusts the simulated-time cutoff between runs (0 = unbounded; see
-  /// SimOptions::run_horizon). The twin's pruning pass flips its pooled
-  /// slots between the prefix cutoff and the full horizon with this.
-  void set_run_horizon(SimTime run_horizon) {
-    options_.run_horizon = run_horizon;
   }
 
   /// Runs the whole workload to completion under `policy` and returns the

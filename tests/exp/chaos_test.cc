@@ -67,7 +67,8 @@ void ExpectGarbageRejected(const CaseProfile<Case>& p) {
         "policy\n",
         // Keys of removed structure and forecast knobs.
         "pending_queue wheel\n", "pending_queue heap\n", "txn_store soa\n",
-        "txn_store vec\n", "pooled_forecasts 1\n", "pooled_forecasts 0\n"}) {
+        "txn_store vec\n", "pooled_forecasts 1\n", "pooled_forecasts 0\n",
+        "prune 0\n", "prune 1\n", "prune_prefix 0.4\n"}) {
     EXPECT_FALSE(p.Parse(good + line).ok()) << line;
   }
   // Another dialect's header is not this profile's file.
@@ -210,7 +211,7 @@ TEST(LiveChaosTest, RandomCasesAreDeterministicPerIndex) {
   ExpectDeterministicPerIndex(LiveChaosProfile(), 0x95f1652ab5ab0689ULL);
 }
 TEST(TwinChaosTest, RandomCasesAreDeterministicPerIndex) {
-  ExpectDeterministicPerIndex(TwinChaosProfile(), 0x4232d644e8d38be2ULL);
+  ExpectDeterministicPerIndex(TwinChaosProfile(), 0x7d839e1c35329b2fULL);
 }
 
 // The huge profile runs 10^5 transactions per case; its campaign is

@@ -10,10 +10,10 @@
 // that layer's observable behaviour changed and the golden value must
 // be revisited deliberately.
 //
-// Two more tables feed hostile one-key edits of the same files: each
+// Three more tables feed hostile one-key edits of the same files: each
 // must come back as an InvalidArgument, from the parser naming the line
-// or, for a value that clashes with another key, from the run — never
-// as an abort.
+// or, for a value that clashes with another key or a policy spec the
+// parser keeps as text, from the run — never as an abort.
 
 #include <fstream>
 #include <sstream>
@@ -245,6 +245,18 @@ const HostileEdit kCrossFieldEdits[] = {
     {kTwin, "latency_spike_prob", "0.5"},  // mean_latency_spike is 0
 };
 
+// Policy specs are free text to the parser. A NaN parameter is refused
+// by CreatePolicy when the run builds the policy, before MixPolicy or
+// BalanceAwarePolicy could CHECK it. (A twin edit rewrites every
+// candidate line.)
+const HostileEdit kPolicySpecEdits[] = {
+    {kSim, "policy", "MIX(nan)"},
+    {kSim, "policy", "EDF-BA(count=nan)"},
+    {kLive, "policy", "EDF-BA(time=nan)"},
+    {kTwin, "candidate", "MIX(nan) none 64 0"},
+    {kTwin, "candidate", "EDF-BA(time=nan) depth 29 0"},
+};
+
 std::string Edited(const HostileEdit& edit) {
   std::istringstream lines(ReadReplay(edit.file));
   std::string edited;
@@ -275,14 +287,20 @@ TEST(ReplayValidationTest, HostileEditsReturnAStatusNamingTheLine) {
   }
 }
 
+void ExpectRejectedByTheRun(const HostileEdit& edit) {
+  const std::string edited = Edited(edit);
+  EXPECT_TRUE(ProfileOf(edited).Reserialize(edited).ok()) << Describe(edit);
+  EXPECT_EQ(ProfileOf(edited).Replay(edited).status().code(),
+            StatusCode::kInvalidArgument)
+      << Describe(edit);
+}
+
 TEST(ReplayValidationTest, CrossFieldEditsReturnAStatusFromTheRun) {
-  for (const HostileEdit& edit : kCrossFieldEdits) {
-    const std::string edited = Edited(edit);
-    EXPECT_TRUE(ProfileOf(edited).Reserialize(edited).ok()) << Describe(edit);
-    EXPECT_EQ(ProfileOf(edited).Replay(edited).status().code(),
-              StatusCode::kInvalidArgument)
-        << Describe(edit);
-  }
+  for (const HostileEdit& edit : kCrossFieldEdits) ExpectRejectedByTheRun(edit);
+}
+
+TEST(ReplayValidationTest, PolicySpecEditsReturnAStatusFromTheRun) {
+  for (const HostileEdit& edit : kPolicySpecEdits) ExpectRejectedByTheRun(edit);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "rt/twin.h"
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -157,9 +158,9 @@ TEST(TwinTest, DecisionLogAgreesWithTheCounters) {
 }
 
 // ---------------------------------------------------------------------
-// TwinForecastEngine: the decision-loop cost knobs (parallel fan-out,
-// pruning) must be digest-neutral — same decisions, same trace,
-// byte-identical report.
+// TwinForecastEngine: the decision-loop cost knob (parallel fan-out)
+// must be digest-neutral — same decisions, same trace, byte-identical
+// report.
 
 std::vector<LiveArrival> FlashCrowdArrivals() {
   LiveArrivalOptions load;
@@ -174,7 +175,7 @@ std::vector<LiveArrival> FlashCrowdArrivals() {
   return GenerateLiveArrivals(load);
 }
 
-/// Four candidates so successive halving actually halves.
+/// Four candidates: plain, queue-depth and brownout admission.
 rt::TwinOptions FourCandidateOptions() {
   rt::TwinOptions options = TwoCandidateOptions();
   rt::TwinCandidate srpt;
@@ -191,18 +192,32 @@ rt::TwinOptions FourCandidateOptions() {
   return options;
 }
 
-TEST(TwinForecastEngineTest, RejectsBadPrunePrefix) {
-  const std::vector<LiveArrival> arrivals = FeasiblePoisson(5);
-  for (const double bad : {0.0, -0.5, 1.5}) {
+TEST(TwinForecastEngineTest, CreateRejectsInvalidCandidates) {
+  // The engine is a public entry point of its own: a candidate that
+  // QueueDepthAdmission or BrownoutAdmission would CHECK on is refused
+  // here, before the first Forecast() builds it. In
+  // FourCandidateOptions, candidate 2 is SRPT behind queue-depth
+  // admission and candidate 3 EDF behind brownout admission.
+  struct Row {
+    size_t candidate;
+    const char* field;
+    void (*mutate)(rt::TwinCandidate&);
+  };
+  const Row rows[] = {
+      {3, "capacity_slo", [](rt::TwinCandidate& c) { c.capacity_slo = 1.5; }},
+      {3, "capacity_slo", [](rt::TwinCandidate& c) { c.capacity_slo = -1.0; }},
+      {3, "capacity_slo",
+       [](rt::TwinCandidate& c) { c.capacity_slo = std::nan(""); }},
+      {2, "max_ready", [](rt::TwinCandidate& c) { c.max_ready = 0; }},
+  };
+  for (const Row& row : rows) {
     rt::TwinOptions options = FourCandidateOptions();
-    options.prune = true;
-    options.prune_prefix = bad;
-    EXPECT_FALSE(rt::Twin(options).Run(arrivals).ok()) << bad;
+    row.mutate(options.candidates[row.candidate]);
+    const Status status = rt::TwinForecastEngine::Create(options).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << row.field;
+    EXPECT_NE(status.ToString().find(row.field), std::string::npos)
+        << status.ToString();
   }
-  // The knob is ignored (and unvalidated) while pruning is off.
-  rt::TwinOptions off = FourCandidateOptions();
-  off.prune_prefix = 1.5;
-  EXPECT_TRUE(rt::Twin(off).Run(arrivals).ok());
 }
 
 TEST(TwinForecastEngineTest, ParallelForecastsAreByteIdentical) {
@@ -255,76 +270,43 @@ TEST(TwinForecastEngineTest, PooledMatchesRebuiltByteForByte) {
   // The engine keeps one warm simulator + policy per candidate across
   // ticks. A fresh engine per tick rebuilds everything cold, so tick by
   // tick the two must produce the same forecast table — on shrinking
-  // and growing snapshots, with and without pruning.
+  // and growing snapshots.
   const size_t sizes[] = {40, 3, 0, 75, 12, 75, 1, 30};
-  for (const bool prune : {false, true}) {
-    rt::TwinOptions options = FourCandidateOptions();
-    options.prune = prune;
-    auto pooled = rt::TwinForecastEngine::Create(options);
-    ASSERT_TRUE(pooled.ok()) << pooled.status();
-    Rng rng(2009);
-    uint64_t tick = 0;
-    for (const size_t num_tasks : sizes) {
-      const rt::ExecutorSnapshot snap = SyntheticSnapshot(
-          rng, 0.2 * static_cast<double>(tick), num_tasks, 1 + tick % 2);
-      rt::TwinArrivalWindow window;
-      for (size_t a = 0; a < (tick * 7) % 11; ++a) {
-        LiveArrival arrival;
-        arrival.duration = 0.02 + 0.05 * rng.NextDouble();
-        arrival.relative_deadline = 0.3 * rng.NextDouble();
-        arrival.weight = 1.0;
-        window.Observe(arrival);
-      }
-      const uint32_t incumbent = static_cast<uint32_t>(tick % 4);
-      auto rebuilt = rt::TwinForecastEngine::Create(options);
-      ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
-      const std::vector<rt::TwinForecast> cold =
-          rebuilt.ValueOrDie().Forecast(snap, window, tick, incumbent);
-      const std::vector<rt::TwinForecast>& warm =
-          pooled.ValueOrDie().Forecast(snap, window, tick, incumbent);
-      ASSERT_EQ(warm.size(), cold.size());
-      for (size_t i = 0; i < warm.size(); ++i) {
-        EXPECT_EQ(warm[i].tardiness, cold[i].tardiness)
-            << "prune=" << prune << " tick=" << tick << " candidate=" << i;
-        EXPECT_EQ(warm[i].shed_ratio, cold[i].shed_ratio)
-            << "prune=" << prune << " tick=" << tick << " candidate=" << i;
-        EXPECT_EQ(warm[i].score, cold[i].score)
-            << "prune=" << prune << " tick=" << tick << " candidate=" << i;
-        EXPECT_EQ(warm[i].pruned, cold[i].pruned)
-            << "prune=" << prune << " tick=" << tick << " candidate=" << i;
-      }
-      ++tick;
+  const rt::TwinOptions options = FourCandidateOptions();
+  auto pooled = rt::TwinForecastEngine::Create(options);
+  ASSERT_TRUE(pooled.ok()) << pooled.status();
+  Rng rng(2009);
+  uint64_t tick = 0;
+  for (const size_t num_tasks : sizes) {
+    const rt::ExecutorSnapshot snap = SyntheticSnapshot(
+        rng, 0.2 * static_cast<double>(tick), num_tasks, 1 + tick % 2);
+    rt::TwinArrivalWindow window;
+    for (size_t a = 0; a < (tick * 7) % 11; ++a) {
+      LiveArrival arrival;
+      arrival.duration = 0.02 + 0.05 * rng.NextDouble();
+      arrival.relative_deadline = 0.3 * rng.NextDouble();
+      arrival.weight = 1.0;
+      window.Observe(arrival);
     }
-    EXPECT_GT(pooled.ValueOrDie().stats().forecasts_run, 0u);
+    const uint32_t incumbent = static_cast<uint32_t>(tick % 4);
+    auto rebuilt = rt::TwinForecastEngine::Create(options);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+    const std::vector<rt::TwinForecast> cold =
+        rebuilt.ValueOrDie().Forecast(snap, window, tick, incumbent);
+    const std::vector<rt::TwinForecast>& warm =
+        pooled.ValueOrDie().Forecast(snap, window, tick, incumbent);
+    ASSERT_EQ(warm.size(), cold.size());
+    for (size_t i = 0; i < warm.size(); ++i) {
+      EXPECT_EQ(warm[i].tardiness, cold[i].tardiness)
+          << "tick=" << tick << " candidate=" << i;
+      EXPECT_EQ(warm[i].shed_ratio, cold[i].shed_ratio)
+          << "tick=" << tick << " candidate=" << i;
+      EXPECT_EQ(warm[i].score, cold[i].score)
+          << "tick=" << tick << " candidate=" << i;
+    }
+    ++tick;
   }
-}
-
-TEST(TwinForecastEngineTest, PruneKeepsTheWinnerOnTheCommittedScenario) {
-  // Successive halving is only digest-preserving when the prefix
-  // ranking keeps the eventual winner; this differential pins that on
-  // the committed flash-crowd scenario at several prefix lengths.
-  const std::vector<LiveArrival> arrivals = FlashCrowdArrivals();
-  rt::TwinOptions options = FourCandidateOptions();
-  auto unpruned = rt::Twin(options).Run(arrivals);
-  ASSERT_TRUE(unpruned.ok()) << unpruned.status();
-  // Mid-length prefixes (0.4-0.55) flip the prefix ranking on this
-  // scenario and are intentionally absent: prune may legally change
-  // decisions there, so the pinned set is the digest-preserving one.
-  for (const double prefix : {0.25, 0.35, 0.6}) {
-    rt::TwinOptions pruned = options;
-    pruned.prune = true;
-    pruned.prune_prefix = prefix;
-    auto run = rt::Twin(pruned).Run(arrivals);
-    ASSERT_TRUE(run.ok()) << run.status();
-    const rt::TwinReport& report = run.ValueOrDie();
-    EXPECT_EQ(report.digest, unpruned.ValueOrDie().digest)
-        << "prune_prefix=" << prefix;
-    // With 4 candidates, halving skips up to 2 full-horizon forecasts
-    // per forecasting tick.
-    EXPECT_GT(report.decision_stats.forecasts_pruned, 0u);
-    EXPECT_LT(report.decision_stats.forecasts_run,
-              unpruned.ValueOrDie().decision_stats.forecasts_run);
-  }
+  EXPECT_GT(pooled.ValueOrDie().stats().forecasts_run, 0u);
 }
 
 TEST(TwinForecastEngineTest, ReportsDecisionLoopCost) {
@@ -336,7 +318,7 @@ TEST(TwinForecastEngineTest, ReportsDecisionLoopCost) {
   // Forecasting ticks ran every candidate at the full horizon.
   EXPECT_GT(stats.forecasts_run, 0u);
   EXPECT_EQ(stats.forecasts_run % options.candidates.size(), 0u);
-  EXPECT_EQ(stats.forecasts_pruned, 0u);  // prune off by default
+  EXPECT_EQ(stats.forecasts_pruned, 0u);  // no candidate is ever pruned
   EXPECT_GT(stats.forecast_events, 0u);
   EXPECT_GE(stats.decision_ms, 0.0);
 

@@ -36,6 +36,11 @@ TEST(PolicyFactoryTest, MixVariants) {
   EXPECT_FALSE(CreatePolicy("MIX(1.5)").ok());
   EXPECT_FALSE(CreatePolicy("MIX(-0.1)").ok());
   EXPECT_FALSE(CreatePolicy("MIX(abc)").ok());
+  // NaN passes an ordered "< 0 || > 1" test; MixPolicy would abort on it.
+  for (const char* spec : {"MIX(nan)", "MIX(-nan)"}) {
+    EXPECT_EQ(CreatePolicy(spec).status().code(), StatusCode::kInvalidArgument)
+        << spec;
+  }
 }
 
 TEST(PolicyFactoryTest, UnknownNameFails) {
@@ -70,6 +75,16 @@ TEST(PolicyFactoryTest, MalformedBalanceAwareSpecs) {
   EXPECT_FALSE(CreatePolicy("ASETS*-BA(time=0)").ok());      // zero rate
   EXPECT_FALSE(CreatePolicy("ASETS*-BA(time=-1)").ok());     // negative
   EXPECT_FALSE(CreatePolicy("Nope-BA(time=0.01)").ok());     // bad inner
+  // NaN passes an ordered "<= 0" test; BalanceAwarePolicy would abort
+  // on it.
+  for (const char* spec :
+       {"EDF-BA(time=nan)", "EDF-BA(count=nan)", "ASETS*-BA(time=-nan)"}) {
+    EXPECT_EQ(CreatePolicy(spec).status().code(), StatusCode::kInvalidArgument)
+        << spec;
+  }
+  // An infinite rate means "activate at every point" and stays legal.
+  EXPECT_TRUE(CreatePolicy("EDF-BA(time=inf)").ok());
+  EXPECT_TRUE(CreatePolicy("ASETS-BA(count=inf)").ok());
 }
 
 TEST(PolicyFactoryTest, EmptySpecFails) {

@@ -69,56 +69,57 @@ TEST(MetricsTest, MaxWeightedTardinessCanComeFromLowTardiness) {
   EXPECT_EQ(r.max_weighted_tardiness, 10.0);
 }
 
-TEST(MetricsTest, ResolvedMaskKeepsUnresolvedOutOfTheAggregates) {
-  // A horizon-bounded run leaves its unresolved transactions with
-  // default outcomes: fate kCompleted and zero tardiness. Through the
-  // mask they count against goodput and the miss ratio, and stay out of
-  // the completed count and the tardiness and response aggregates.
+TEST(MetricsTest, FromOutcomesViewMatchesFromOutcomesAndKeepsNoOutcomes) {
+  // The record_outcomes = false fold: the same aggregates, bit for bit,
+  // with the outcomes left with the caller. Covers every fate and the
+  // per-event counters.
   const std::vector<TransactionSpec> specs = {
-      Txn(0, 0, 1, 10), Txn(1, 0, 1, 10), Txn(2, 0, 1, 10), Txn(3, 0, 1, 10),
-      Txn(4, 0, 1, 10)};
+      Txn(0, 0, 1, 10, 2.0), Txn(1, 0, 1, 10), Txn(2, 0, 1, 10),
+      Txn(3, 0, 1, 10), Txn(4, 0, 1, 10)};
   std::vector<TxnOutcome> outcomes(5);
   outcomes[0] = {.finish = 12.0,
                  .tardiness = 2.0,
-                 .weighted_tardiness = 2.0,
+                 .weighted_tardiness = 4.0,
                  .response = 12.0,
-                 .missed_deadline = true};
+                 .missed_deadline = true,
+                 .aborts = 1};
   outcomes[1] = {.finish = 6.0,
                  .tardiness = 0.0,
                  .weighted_tardiness = 0.0,
                  .response = 6.0,
-                 .missed_deadline = false};
-  outcomes[2].aborts = 1;  // aborted once, still in flight at the cutoff
-  outcomes[4] = {.finish = 1.0,
-                 .missed_deadline = true,
-                 .fate = TxnFate::kShedAdmission};
-  const std::vector<char> resolved = {1, 1, 0, 0, 1};
-  const RunResult r =
-      RunResult::FromOutcomesView("P", specs, outcomes, &resolved);
-  EXPECT_EQ(r.num_completed, 2u);
-  EXPECT_EQ(r.num_shed, 1u);
-  EXPECT_EQ(r.num_aborts, 1u);  // per-event counters count in flight too
-  EXPECT_DOUBLE_EQ(r.goodput, 2.0 / 5.0);
-  EXPECT_DOUBLE_EQ(r.miss_ratio, 4.0 / 5.0);  // T0 tardy, T2, T3, T4
-  EXPECT_DOUBLE_EQ(r.avg_tardiness, 1.0);     // over T0 and T1 only
-  EXPECT_DOUBLE_EQ(r.avg_weighted_tardiness, 1.0);
-  EXPECT_DOUBLE_EQ(r.avg_response, 9.0);
-  EXPECT_EQ(r.max_tardiness, 2.0);
-  EXPECT_EQ(r.makespan, 12.0);
-  EXPECT_TRUE(r.outcomes.empty());
-
-  // Unmasked, the same outcomes read as four zero-tardiness completions.
-  const RunResult unmasked = RunResult::FromOutcomesView("P", specs, outcomes);
-  EXPECT_EQ(unmasked.num_completed, 4u);
-  EXPECT_DOUBLE_EQ(unmasked.avg_tardiness, 0.5);
+                 .missed_deadline = false,
+                 .migrations = 2};
+  outcomes[2] = {.missed_deadline = true, .fate = TxnFate::kShedAdmission};
+  outcomes[3] = {.missed_deadline = true, .fate = TxnFate::kDroppedRetries};
+  outcomes[4] = {.missed_deadline = true,
+                 .fate = TxnFate::kDroppedDependency};
+  const RunResult view = RunResult::FromOutcomesView("P", specs, outcomes);
+  const RunResult owned = RunResult::FromOutcomes("P", specs, outcomes);
+  EXPECT_TRUE(view.outcomes.empty());
+  EXPECT_EQ(owned.outcomes.size(), outcomes.size());
+  EXPECT_EQ(view.policy_name, owned.policy_name);
+  EXPECT_EQ(view.num_completed, 2u);
+  EXPECT_EQ(view.num_completed, owned.num_completed);
+  EXPECT_EQ(view.num_shed, owned.num_shed);
+  EXPECT_EQ(view.num_dropped_retries, owned.num_dropped_retries);
+  EXPECT_EQ(view.num_dropped_dependency, owned.num_dropped_dependency);
+  EXPECT_EQ(view.num_aborts, owned.num_aborts);
+  EXPECT_EQ(view.num_migrations, owned.num_migrations);
+  EXPECT_EQ(view.avg_tardiness, owned.avg_tardiness);
+  EXPECT_EQ(view.avg_weighted_tardiness, owned.avg_weighted_tardiness);
+  EXPECT_EQ(view.avg_response, owned.avg_response);
+  EXPECT_EQ(view.max_tardiness, owned.max_tardiness);
+  EXPECT_EQ(view.max_weighted_tardiness, owned.max_weighted_tardiness);
+  EXPECT_EQ(view.miss_ratio, owned.miss_ratio);
+  EXPECT_EQ(view.goodput, owned.goodput);
+  EXPECT_EQ(view.makespan, owned.makespan);
 }
 
 TEST(MetricsDeathTest, SizeMismatchAborts) {
   const std::vector<TransactionSpec> specs = {Txn(0, 0, 1, 10)};
   EXPECT_DEATH(RunResult::FromOutcomes("P", specs, {}), "CHECK failed");
-  const std::vector<TxnOutcome> outcomes(1);
-  const std::vector<char> resolved;
-  EXPECT_DEATH(RunResult::FromOutcomesView("P", specs, outcomes, &resolved),
+  const std::vector<TxnOutcome> outcomes(2);
+  EXPECT_DEATH(RunResult::FromOutcomesView("P", specs, outcomes),
                "CHECK failed");
 }
 
