@@ -9,15 +9,13 @@
 // num_servers sweep of wall-clock against the frozen pre-shard
 // simulator (tests/testing/reference_simulator.h). Sharding must never
 // change results, so every cell is fingerprint-checked against the
-// reference run before its time is reported. A third section times
-// ASETS*-sharded against the global-state ASETS* in interleaved pairs
-// and exits 1 when the sharded state runs below kShardedVsGlobalFloor
-// of the global state at 4 or 8 servers.
+// reference run before its time is reported; a divergence aborts the
+// run.
 
-#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -58,17 +56,6 @@ void RunForServers(size_t servers, Table& table) {
 using Clock = std::chrono::steady_clock;
 
 constexpr int kShardReps = 5;
-
-// Reps for the interleaved serial global-vs-sharded pair. More than
-// kShardReps because this difference (a few percent) is the quantity
-// the floor below gates, so it gets the extra samples (each rep is
-// only a few ms; the tardiness sweep dominates the binary's runtime).
-constexpr int kShardPairedReps = 15;
-
-// The sharded policy state must run at no less than this share of the
-// global state's speed (median per-pair global/sharded ratio) at 4 and
-// 8 servers: a drop means the ownership bookkeeping got more expensive.
-constexpr double kShardedVsGlobalFloor = 0.90;
 
 // Cheap equality fingerprint of a run (full byte-identity is pinned by
 // tests/sim/sharded_differential_test.cc; the bench only needs to prove
@@ -165,83 +152,6 @@ void RunShardSweep(Table& table) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Sharded policy state: ASETS*-sharded (per-server workflow ownership +
-// deterministic steal accounting) vs the global-state ASETS*, across
-// num_servers. The sharded run is fingerprint-checked against the global
-// run first — ownership must never change the schedule — and its steal
-// count is the ownership moves the run performed. Returns false when a
-// ratio at 4 or 8 servers falls below kShardedVsGlobalFloor.
-
-bool RunShardedPolicySweep(Table& table) {
-  bool above_floor = true;
-  for (const size_t servers : {1u, 2u, 4u, 8u}) {
-    const auto txns = ShardWorkload(servers);
-
-    // Global-state baseline vs the sharded run, measured INTERLEAVED
-    // (one rep of each per loop pass, best-of). This pair is the
-    // no-regression floor; sequential best-of-N blocks drift apart by
-    // several percent on a loaded host, while alternating reps sees the
-    // same host state.
-    auto gsim = Simulator::Create(txns, ShardOptions(servers));
-    WEBTX_CHECK(gsim.ok()) << gsim.status().ToString();
-    auto ssim = Simulator::Create(txns, ShardOptions(servers));
-    WEBTX_CHECK(ssim.ok()) << ssim.status().ToString();
-    AsetsStarPolicy global;
-    AsetsStarPolicy sharded;
-    sharded.EnableSharded();
-    RunFingerprint g_fp;
-    RunFingerprint s_fp;
-    double global_ms = 0.0;
-    double sharded_ms = 0.0;
-    std::vector<double> pair_ratios;
-    pair_ratios.reserve(kShardPairedReps);
-    (void)gsim.ValueOrDie().Run(global);  // warmups
-    (void)ssim.ValueOrDie().Run(sharded);
-    for (int rep = 0; rep < kShardPairedReps; ++rep) {
-      auto t0 = Clock::now();
-      const RunResult gr = gsim.ValueOrDie().Run(global);
-      const double g_ms =
-          std::chrono::duration<double, std::milli>(Clock::now() - t0)
-              .count();
-      if (rep == 0 || g_ms < global_ms) {
-        global_ms = g_ms;
-        g_fp = RunFingerprint::Of(gr);
-      }
-      t0 = Clock::now();
-      const RunResult sr = ssim.ValueOrDie().Run(sharded);
-      const double s_ms =
-          std::chrono::duration<double, std::milli>(Clock::now() - t0)
-              .count();
-      if (rep == 0 || s_ms < sharded_ms) {
-        sharded_ms = s_ms;
-        s_fp = RunFingerprint::Of(sr);
-      }
-      pair_ratios.push_back(g_ms / s_ms);
-    }
-    WEBTX_CHECK(s_fp == g_fp)
-        << "sharded policy diverged from the global state at servers="
-        << servers;
-    // The floored ratio is the MEDIAN of per-pair ratios: the two reps of
-    // a pair run back to back under the same host state, so their ratio
-    // cancels drift that a best-of-each quotient (whose numerator and
-    // denominator come from different moments) keeps.
-    std::sort(pair_ratios.begin(), pair_ratios.end());
-    const double ratio = pair_ratios[pair_ratios.size() / 2];
-    const double steals =
-        static_cast<double>(sharded.AsShardedState()->steal_count());
-    table.AddNumericRow(std::to_string(servers),
-                        {global_ms, sharded_ms, ratio, steals});
-    if ((servers == 4 || servers == 8) && ratio < kShardedVsGlobalFloor) {
-      std::cerr << "ext_multi_server: sharded_vs_global " << ratio
-                << " < floor " << kShardedVsGlobalFloor << " at servers="
-                << servers << "\n";
-      above_floor = false;
-    }
-  }
-  return above_floor;
-}
-
 }  // namespace
 }  // namespace webtx
 
@@ -267,19 +177,5 @@ int main() {
   webtx::RunShardSweep(shard_table);
   shard_table.Print(std::cout);
   webtx::bench::SaveCsv(shard_table, "ext_multi_server_sharded");
-
-  std::cout << "\nSharded policy state — ASETS*-sharded (per-server "
-               "workflow ownership,\ndeterministic steal accounting) vs "
-               "the global-state ASETS* on the production\nloop (timed "
-               "interleaved, best of "
-            << webtx::kShardPairedReps
-            << " paired reps; ratio = median per-pair\nglobal/sharded; "
-               "every sharded run fingerprint-checked against the global "
-               "run):\n\n";
-  webtx::Table policy_table(
-      {"servers", "global ms", "sharded ms", "ratio", "steals"});
-  const bool above_floor = webtx::RunShardedPolicySweep(policy_table);
-  policy_table.Print(std::cout);
-  webtx::bench::SaveCsv(policy_table, "ext_multi_server_sharded_policy");
-  return above_floor ? 0 : 1;
+  return 0;
 }

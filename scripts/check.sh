@@ -13,17 +13,15 @@
 # rather than only in the opt-in bench gate.
 #
 # A chaos-smoke stage runs the randomized fault-injection campaigns of
-# tools/chaos against the plain build, one engine over four profiles at
+# tools/chaos against the plain build, one engine over three profiles at
 # seed 2009: sim (100 simulator cases), live (50 cases of the real
-# executor on worker threads under the virtual clock), steal (25
-# multi-server cases whose "-sharded" policy variant must reproduce the
-# global-state digest) and twin (25 digital-twin cases whose digest must
-# not move across forecast_threads 1/2/8; the forecast-engine unit
-# suite, which pins the serial forecast table and the thread fan-out
-# against it, runs first). Every case runs twice (digests must match) and is
-# audited by its validator; a failing case is auto-shrunk and the
-# reproducer path is printed — commit it under
-# tests/integration/replays/ to pin the regression.
+# executor on worker threads under the virtual clock) and twin (25
+# digital-twin cases whose digest must not move across forecast_threads
+# 1/2/8; the forecast-engine unit suite, which pins the serial forecast
+# table and the thread fan-out against it, runs first). Every case runs
+# twice (digests must match) and is audited by its validator; a failing
+# case is auto-shrunk and the reproducer path is printed — commit it
+# under tests/integration/replays/ to pin the regression.
 #
 # A bench-gate stage (opt-in) compares HEAD against a pinned revision on
 # this host: scripts/bench_ab.sh <rev> HEAD <workload> for each
@@ -36,8 +34,9 @@
 #   - exp.speedup_t2 (the sweep at 2 threads vs 1, from one traced
 #     paper_sweep run at HEAD) must be >= 0.9; skipped on a 1-CPU host;
 #   - bench/ext_multi_server and bench/ext_twin (Release) must exit 0:
-#     the sharded-vs-global policy floor, and the twin's controller win,
-#     guard trip, validator and digest checks.
+#     ext_multi_server's exit code guards only its fingerprint checks
+#     against the reference simulator; ext_twin's guards the twin's
+#     controller win, guard trip, validator and digest checks.
 # It measures committed revisions only, so it refuses to run while
 # src/, perfbench/ or CMakeLists.txt has uncommitted changes. It takes
 # tens of minutes, and nothing else should run on the host meanwhile.
@@ -51,7 +50,7 @@
 #                         [--bench-gate <rev>]
 #   --fast              plain preset only (skips chaos, sanitizers and
 #                       bench smoke)
-#   --chaos-smoke       plain preset + the four chaos campaigns only
+#   --chaos-smoke       plain preset + the three chaos campaigns only
 #   --huge-smoke        release build + 10^5-txn end-to-end run and a
 #                       validator-audited 10^5-txn chaos case only
 #   --bench-gate <rev>  the A/B gate of HEAD against revision <rev> only
@@ -232,7 +231,6 @@ chaos_smoke() {
   ./build/tests/rt_test --gtest_filter='TwinForecastEngineTest.*'
   chaos_campaign ./build sim 100
   chaos_campaign ./build live 50
-  chaos_campaign ./build steal 25
   chaos_campaign ./build twin 25
 }
 

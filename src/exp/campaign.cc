@@ -47,8 +47,8 @@ Status ViolationStatus(const std::string& what,
 
 const std::vector<const ChaosProfile*>& ChaosProfiles() {
   static const std::vector<const ChaosProfile*> profiles = {
-      &SimChaosProfile(), &HugeChaosProfile(), &StealChaosProfile(),
-      &LiveChaosProfile(), &TwinChaosProfile()};
+      &SimChaosProfile(), &HugeChaosProfile(), &LiveChaosProfile(),
+      &TwinChaosProfile()};
   return profiles;
 }
 

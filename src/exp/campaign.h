@@ -50,6 +50,12 @@ inline constexpr uint64_t kMaxIds = std::numeric_limits<uint32_t>::max();
 /// memory. The campaigns draw at most 0.5, so 10 leaves a factor of 20
 /// for hand-written stress cases.
 inline constexpr double kMaxFaultRate = 10.0;
+/// Upper bound of the server and worker counts (`num_servers`,
+/// `num_workers`). The simulator sizes about ten per-server arrays by
+/// `num_servers` and rt::Executor starts one OS thread per worker, so
+/// at kMaxIds one edited replay line exhausts memory or threads. The
+/// campaigns draw at most 4 and the tests run at most 8.
+inline constexpr uint64_t kMaxServers = 64;
 
 /// One "key value" line of a replay file: `write` gives the value of
 /// every line it produces (a repeated field gives any number), `read`
@@ -268,7 +274,7 @@ class ChaosProfile {
   ~ChaosProfile() = default;  // profiles are never deleted through this
 };
 
-/// Every profile: sim, huge, steal, live, twin.
+/// Every profile: sim, huge, live, twin.
 const std::vector<const ChaosProfile*>& ChaosProfiles();
 /// The profile called `name`, or nullptr.
 const ChaosProfile* FindChaosProfile(std::string_view name);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -139,7 +138,7 @@ std::vector<Field<ChaosCase>> SimFields() {
                         w(&W::max_workflows_per_txn), 1, kMaxWorkflowsPerTxn),
        DoubleField<C>("burstiness", w(&W::burstiness), 0.0, kBelowOne),
        DoubleField<C>("estimate_error", w(&W::estimate_error), 0.0, kBelowOne),
-       UnsignedField<C>("num_servers", &C::num_servers, 1, kMaxIds),
+       UnsignedField<C>("num_servers", &C::num_servers, 1, kMaxServers),
        TextField<C>("policy", &C::policy)},
       FaultPlanFields<C>(&C::fault,
                          Member(&C::fault, &FaultPlanConfig::migration)),
@@ -351,40 +350,6 @@ const CaseProfile<ChaosCase>& HugeChaosProfile() {
       if (c.retry.max_attempts < 2) c.retry.max_attempts = 3;
       if (c.retry.backoff == 0.0) c.retry.backoff = 1.0;
       return c;
-    };
-    return p;
-  }();
-  return profile;
-}
-
-const CaseProfile<ChaosCase>& StealChaosProfile() {
-  static const CaseProfile<ChaosCase> profile = [] {
-    CaseProfile<ChaosCase> p = MakeSimProfile();
-    p.name = "steal";
-    // Its own dialect, so `--replay` re-runs the "-sharded" variant too.
-    p.header = "webtx-steal-replay v1";
-    p.default_cases = 25;
-    // Every round places k heads, so cross-shard steals are dense; the
-    // randomized policy is mapped onto a base with a sharded variant.
-    p.random = [](uint64_t master_seed, uint64_t index) {
-      ChaosCase c = RandomChaosCase(master_seed, index);
-      c.num_servers = 1u << (1 + index % 3);  // 2, 4, 8
-      WorkloadSpec& w = c.workload;
-      if (w.utilization < 2.0) w.utilization = 2.0;
-      if (w.max_workflow_length < 3) w.max_workflow_length = 3;
-      if (w.max_workflows_per_txn < 2) w.max_workflows_per_txn = 2;
-      static const char* const kShardedBases[] = {"FCFS", "EDF", "SRPT", "LS",
-                                                  "HDF",  "HVF", "ASETS*"};
-      for (const char* base : kShardedBases) {
-        if (c.policy == base) return c;
-      }
-      c.policy = kShardedBases[index % std::size(kShardedBases)];
-      return c;
-    };
-    p.neutral = [](const ChaosCase& c) {
-      NeutralVariant<ChaosCase> sharded{"policy " + c.policy + "-sharded", c};
-      sharded.c.policy += "-sharded";
-      return std::vector<NeutralVariant<ChaosCase>>{std::move(sharded)};
     };
     return p;
   }();

@@ -63,12 +63,10 @@ uint64_t ScheduleDigest(const RunResult& result);
 ChaosCase RandomChaosCase(uint64_t master_seed, uint64_t index);
 
 /// The simulator profiles of the campaign engine (exp/campaign.h):
-/// `sim` (RandomChaosCase; `--mint` pins a cold-failover migration),
-/// `huge` (the same cases at 10^5 transactions) and `steal` (overloaded
-/// multi-server cases whose "-sharded" policy must not move the digest).
+/// `sim` (RandomChaosCase; `--mint` pins a cold-failover migration) and
+/// `huge` (the same cases at 10^5 transactions).
 const CaseProfile<ChaosCase>& SimChaosProfile();
 const CaseProfile<ChaosCase>& HugeChaosProfile();
-const CaseProfile<ChaosCase>& StealChaosProfile();
 
 }  // namespace webtx
 

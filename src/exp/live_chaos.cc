@@ -168,7 +168,7 @@ std::vector<Field<LiveChaosCase>> LiveFields() {
        UnsignedField<C>("max_weight", &C::max_weight, 1),
        DoubleField<C>("dep_prob", &C::dep_prob, 0.0, 1.0),
        DoubleField<C>("timeout_prob", &C::timeout_prob, 0.0, 1.0),
-       UnsignedField<C>("num_workers", &C::num_workers, 1, kMaxIds),
+       UnsignedField<C>("num_workers", &C::num_workers, 1, kMaxServers),
        TextField<C>("policy", &C::policy)},
       ExecutorFaultFields<C, C>(self),
       {AdmissionField<C>("admission", &C::admission),
@@ -203,7 +203,9 @@ Result<LiveChaosRun> RunLiveChaosCase(const LiveChaosCase& c) {
   WEBTX_ASSIGN_OR_RETURN(auto policy, CreatePolicy(c.policy));
   const std::vector<DrawnTask> drawn = DrawWorkload(c);
   auto clock = std::make_shared<rt::VirtualClock>();
-  rt::Executor exec(std::move(policy), ExecutorOptionsFor(c, clock));
+  rt::ExecutorOptions options = ExecutorOptionsFor(c, clock);
+  WEBTX_RETURN_NOT_OK(options.Validate());
+  rt::Executor exec(std::move(policy), std::move(options));
 
   LiveChaosRun run;
   run.tasks.resize(c.num_tasks);
@@ -476,7 +478,7 @@ std::vector<Field<TwinChaosCase>> TwinFields() {
                       kPositive),
        UnsignedField<C>("forecast_threads", t(&T::forecast_threads), 0,
                         kMaxForecastThreads),
-       UnsignedField<C>("num_workers", t(&T::num_workers), 1, kMaxIds)},
+       UnsignedField<C>("num_workers", t(&T::num_workers), 1, kMaxServers)},
       ExecutorFaultFields<C, T>(t),
       WatchdogFields<C, T>(t),
   });

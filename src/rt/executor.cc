@@ -59,15 +59,28 @@ size_t Executor::View::num_servers_up() const {
   return std::max<size_t>(1, owner_->injector_->num_slots_up());
 }
 
+Status ExecutorOptions::Validate() const {
+  if (num_workers < 1) {
+    return Status::InvalidArgument("num_workers must be >= 1");
+  }
+  // Written as !(x >= 0) so that NaN fails.
+  if (!(watchdog_stall_seconds >= 0.0)) {
+    return Status::InvalidArgument("watchdog_stall_seconds must be >= 0");
+  }
+  if (!(retry_max_backoff >= 0.0)) {
+    return Status::InvalidArgument("retry_max_backoff must be >= 0");
+  }
+  return Status::OK();
+}
+
 Executor::Executor(std::unique_ptr<SchedulerPolicy> policy,
                    ExecutorOptions options)
     : policy_(std::move(policy)),
       options_(std::move(options)),
       view_(this) {
   WEBTX_CHECK(policy_ != nullptr);
-  WEBTX_CHECK_GE(options_.num_workers, 1u);
-  WEBTX_CHECK_GE(options_.watchdog_stall_seconds, 0.0);
-  WEBTX_CHECK_GE(options_.retry_max_backoff, 0.0);
+  const Status valid = options_.Validate();
+  WEBTX_CHECK(valid.ok()) << valid.ToString();
   clock_ = options_.clock != nullptr ? options_.clock
                                      : std::make_shared<RealClock>();
   if (options_.faults.enabled()) {

@@ -235,6 +235,12 @@ struct ExecutorOptions {
   /// Record a LiveTraceRecorder event log (see rt/live_trace.h) for
   /// validation and replay digests.
   bool record_trace = false;
+
+  /// InvalidArgument naming the first out-of-range field: num_workers
+  /// < 1, or a watchdog_stall_seconds or retry_max_backoff that is
+  /// negative or NaN. The Executor constructor CHECKs it; callers that
+  /// return a status on bad options call it first.
+  Status Validate() const;
 };
 
 /// A live task executor ordered by any transaction-level scheduling

@@ -428,9 +428,6 @@ Result<TwinReport> Twin::Run(const std::vector<LiveArrival>& arrivals) {
   if (options_.static_index >= options_.candidates.size()) {
     return Status::InvalidArgument("static_index out of range");
   }
-  if (options_.num_workers == 0) {
-    return Status::InvalidArgument("twin needs at least one worker");
-  }
   if (!(options_.control_interval > 0.0) ||
       !(options_.forecast_horizon > 0.0)) {
     return Status::InvalidArgument(
@@ -443,18 +440,7 @@ Result<TwinReport> Twin::Run(const std::vector<LiveArrival>& arrivals) {
                          FaultPlan::Create(options_.faults.plan));
   (void)plan_check;
 
-  // The forecast engine owns the per-candidate shadow simulators; only
-  // built when control ticks will actually run.
-  std::unique_ptr<TwinForecastEngine> engine;
-  if (options_.controller_enabled) {
-    WEBTX_ASSIGN_OR_RETURN(TwinForecastEngine built,
-                           TwinForecastEngine::Create(options_));
-    engine = std::make_unique<TwinForecastEngine>(std::move(built));
-  }
-
   const TwinCandidate& initial = options_.candidates[options_.static_index];
-  WEBTX_ASSIGN_OR_RETURN(auto policy, CreatePolicy(initial.policy));
-
   auto clock = std::make_shared<VirtualClock>();
   ExecutorOptions exec_options;
   exec_options.num_workers = options_.num_workers;
@@ -467,6 +453,18 @@ Result<TwinReport> Twin::Run(const std::vector<LiveArrival>& arrivals) {
   exec_options.retry_max_backoff = options_.retry_max_backoff;
   exec_options.retry_budget = options_.retry_budget;
   exec_options.record_trace = true;
+  WEBTX_RETURN_NOT_OK(exec_options.Validate());
+
+  // The forecast engine owns the per-candidate shadow simulators; only
+  // built when control ticks will actually run.
+  std::unique_ptr<TwinForecastEngine> engine;
+  if (options_.controller_enabled) {
+    WEBTX_ASSIGN_OR_RETURN(TwinForecastEngine built,
+                           TwinForecastEngine::Create(options_));
+    engine = std::make_unique<TwinForecastEngine>(std::move(built));
+  }
+
+  WEBTX_ASSIGN_OR_RETURN(auto policy, CreatePolicy(initial.policy));
   Executor exec(std::move(policy), exec_options);
 
   TwinReport report;

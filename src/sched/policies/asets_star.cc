@@ -44,34 +44,6 @@ void AsetsStarPolicy::Reset() {
   edf_.Clear();
   hdf_.Clear();
   critical_.Clear();
-  num_shards_ = 1;
-  steals_ = 0;
-}
-
-void AsetsStarPolicy::BindShards(uint32_t num_shards) {
-  WEBTX_DCHECK(dirty_list_.empty()) << "BindShards after events";
-  num_shards_ = std::max(1u, num_shards);
-  const size_t num_wf = states_.size();
-  wf_owner_.resize(num_wf);
-  for (size_t wid = 0; wid < num_wf; ++wid) {
-    wf_owner_[wid] = static_cast<uint32_t>(wid % num_shards_);
-  }
-  steals_ = 0;
-}
-
-void AsetsStarPolicy::OnPlaced(TxnId id, uint32_t server, SimTime now) {
-  (void)now;
-  if (num_shards_ == 1) return;
-  const uint32_t dest =
-      server < num_shards_ ? server : server % num_shards_;
-  for (const WorkflowId wid : view().workflows().WorkflowsOf(id)) {
-    if (wf_owner_[wid] == dest) continue;
-    // Touch files or erases a workflow in the same call that sets
-    // `active`, so activity IS list membership: only a filed workflow
-    // changing owners counts as a steal.
-    if (states_[wid].active) ++steals_;
-    wf_owner_[wid] = dest;
-  }
 }
 
 bool AsetsStarPolicy::IsExcluded(TxnId id) const {

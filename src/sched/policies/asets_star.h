@@ -91,23 +91,12 @@ struct AsetsStarOptions {
 ///
 /// The three lists are IndexedPriorityQueues (Sec. III-A: one O(log N)
 /// ordered structure per list).
-///
-/// Sharded-state variant (factory spec "ASETS*-sharded"): EnableSharded()
-/// before Bind adds per-shard workflow ownership over the same three
-/// lists — initially wid % num_shards, then the server its head was last
-/// dispatched to. A placement that moves a filed (active) workflow to a
-/// new owner counts as one steal. Picks never read ownership, so
-/// schedules are byte-identical to the global policy (pinned by
-/// tests/sim/sharded_differential_test.cc).
-class AsetsStarPolicy final : public SchedulerPolicy,
-                              public ShardedPolicyState {
+class AsetsStarPolicy final : public SchedulerPolicy {
  public:
   explicit AsetsStarPolicy(AsetsStarOptions options = {})
       : options_(options) {}
 
-  std::string name() const override {
-    return sharded_ ? "ASETS*-sharded" : "ASETS*";
-  }
+  std::string name() const override { return "ASETS*"; }
 
   void Bind(const SimView& view) override;
   void OnArrival(TxnId id, SimTime now) override;
@@ -120,18 +109,6 @@ class AsetsStarPolicy final : public SchedulerPolicy,
   TxnId PickNextExcluding(SimTime now,
                           const std::vector<TxnId>& exclude) override;
   void PickBatch(SimTime now, size_t k, std::vector<TxnId>& out) override;
-
-  /// Opts into the sharded-state protocol; must precede Bind. Called by
-  /// the factory for the "ASETS*-sharded" spec.
-  void EnableSharded() { sharded_ = true; }
-
-  // ShardedPolicyState (only reachable after EnableSharded):
-  ShardedPolicyState* AsShardedState() override {
-    return sharded_ ? this : nullptr;
-  }
-  void BindShards(uint32_t num_shards) override;
-  void OnPlaced(TxnId id, uint32_t server, SimTime now) override;
-  uint64_t steal_count() const override { return steals_; }
 
   /// Introspection for tests. Non-const: flushes pending dirty refiles
   /// so the lists reflect every callback delivered so far.
@@ -243,10 +220,6 @@ class AsetsStarPolicy final : public SchedulerPolicy,
   IndexedPriorityQueue edf_;       // key: d_rep
   IndexedPriorityQueue hdf_;       // key: r_rep / w_rep
   IndexedPriorityQueue critical_;  // EDF-List members, key: d_rep - r_rep
-  std::vector<uint32_t> wf_owner_;  // WorkflowId -> owner shard
-  uint32_t num_shards_ = 1;
-  bool sharded_ = false;
-  uint64_t steals_ = 0;
 };
 
 }  // namespace webtx

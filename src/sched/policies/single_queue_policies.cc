@@ -7,23 +7,6 @@ namespace webtx {
 
 void SingleQueuePolicy::Reset() {
   queue_.Clear();
-  num_shards_ = 1;
-  steals_ = 0;
-}
-
-void SingleQueuePolicy::BindShards(uint32_t num_shards) {
-  WEBTX_DCHECK(queue_.empty()) << "BindShards after events";
-  num_shards_ = std::max(1u, num_shards);
-  steals_ = 0;
-  if (num_shards_ > 1) {
-    // Initial owner assignment: id % shards. Any fixed content-blind map
-    // works — picks never read ownership.
-    const size_t n = view().specs().size();
-    owner_.resize(n);
-    for (size_t id = 0; id < n; ++id) {
-      owner_[id] = static_cast<uint32_t>(id % num_shards_);
-    }
-  }
 }
 
 void SingleQueuePolicy::OnReady(TxnId id, SimTime now) {
@@ -39,17 +22,6 @@ void SingleQueuePolicy::OnCompletion(TxnId id, SimTime now) {
 void SingleQueuePolicy::OnRemainingUpdated(TxnId id, SimTime now) {
   if (!RemainingSensitive()) return;
   if (queue_.Contains(id)) queue_.Update(id, KeyFor(id, now));
-}
-
-void SingleQueuePolicy::OnPlaced(TxnId id, uint32_t server, SimTime now) {
-  (void)now;
-  if (num_shards_ == 1) return;
-  const uint32_t dest =
-      server < num_shards_ ? server : server % num_shards_;
-  if (owner_[id] == dest) return;
-  WEBTX_DCHECK(queue_.Contains(id)) << "placed transaction was not queued";
-  owner_[id] = dest;
-  ++steals_;
 }
 
 TxnId SingleQueuePolicy::PickNext(SimTime now) {

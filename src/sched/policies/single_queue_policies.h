@@ -14,16 +14,7 @@ namespace webtx {
 /// over the ready transactions, ordered by a per-policy key (smallest key =
 /// highest priority). Subclasses provide the key; keys that depend on
 /// remaining processing time are refreshed via OnRemainingUpdated.
-///
-/// Sharded-state variant (factory spec "<name>-sharded"): EnableSharded()
-/// before Bind adds per-shard ownership (shard = server, assigned by the
-/// simulator via BindShards) over the one queue. A ready transaction is
-/// owned by one shard — initially id % num_shards, then the server it
-/// was last dispatched to (OnPlaced counts the move as a steal). Picks
-/// never read ownership, so schedules are byte-identical to the global
-/// variant (pinned by tests/sim/sharded_differential_test.cc).
-class SingleQueuePolicy : public SchedulerPolicy,
-                          public ShardedPolicyState {
+class SingleQueuePolicy : public SchedulerPolicy {
  public:
   void OnReady(TxnId id, SimTime now) override;
   void OnCompletion(TxnId id, SimTime now) override;
@@ -35,18 +26,6 @@ class SingleQueuePolicy : public SchedulerPolicy,
   /// Policies with time-independent keys (FCFS, EDF, HVF) never react to
   /// OnRemainingUpdated, so the simulator may skip the calls outright.
   bool WantsRemainingUpdates() const override { return RemainingSensitive(); }
-
-  /// Opts into the sharded-state protocol; must precede Bind. Called by
-  /// the factory for "<name>-sharded" specs.
-  void EnableSharded() { sharded_ = true; }
-
-  // ShardedPolicyState (only reachable after EnableSharded):
-  ShardedPolicyState* AsShardedState() override {
-    return sharded_ ? this : nullptr;
-  }
-  void BindShards(uint32_t num_shards) override;
-  void OnPlaced(TxnId id, uint32_t server, SimTime now) override;
-  uint64_t steal_count() const override { return steals_; }
 
   /// Number of ready transactions currently queued.
   size_t queue_size() const { return queue_.size(); }
@@ -61,17 +40,8 @@ class SingleQueuePolicy : public SchedulerPolicy,
   /// transaction needs a key refresh at scheduling points.
   virtual bool RemainingSensitive() const { return false; }
 
-  /// Subclass display name, with the sharded-variant suffix applied.
-  std::string DecoratedName(const char* base) const {
-    return sharded_ ? std::string(base) + "-sharded" : base;
-  }
-
  private:
   IndexedPriorityQueue queue_;
-  std::vector<uint32_t> owner_;  // TxnId -> shard (sharded only)
-  uint32_t num_shards_ = 1;
-  bool sharded_ = false;
-  uint64_t steals_ = 0;
   /// Scratch for PickNextExcluding's park-and-restore (hoisted so the
   /// hot path stays allocation-free after warm-up).
   std::vector<std::pair<TxnId, double>> parked_;
@@ -82,7 +52,7 @@ class SingleQueuePolicy : public SchedulerPolicy,
 /// First-Come-First-Served: key = arrival time.
 class FcfsPolicy final : public SingleQueuePolicy {
  public:
-  std::string name() const override { return DecoratedName("FCFS"); }
+  std::string name() const override { return "FCFS"; }
 
  protected:
   double KeyFor(TxnId id, SimTime now) const override;
@@ -93,7 +63,7 @@ class FcfsPolicy final : public SingleQueuePolicy {
 /// effect under overload (Sec. III-A1).
 class EdfPolicy final : public SingleQueuePolicy {
  public:
-  std::string name() const override { return DecoratedName("EDF"); }
+  std::string name() const override { return "EDF"; }
 
  protected:
   double KeyFor(TxnId id, SimTime now) const override;
@@ -104,7 +74,7 @@ class EdfPolicy final : public SingleQueuePolicy {
 /// deadline is already missed [Schroeder & Harchol-Balter].
 class SrptPolicy final : public SingleQueuePolicy {
  public:
-  std::string name() const override { return DecoratedName("SRPT"); }
+  std::string name() const override { return "SRPT"; }
 
  protected:
   double KeyFor(TxnId id, SimTime now) const override;
@@ -116,7 +86,7 @@ class SrptPolicy final : public SingleQueuePolicy {
 /// time-independent key d_i - r_i preserves the ordering.
 class LsPolicy final : public SingleQueuePolicy {
  public:
-  std::string name() const override { return DecoratedName("LS"); }
+  std::string name() const override { return "LS"; }
 
  protected:
   double KeyFor(TxnId id, SimTime now) const override;
@@ -128,7 +98,7 @@ class LsPolicy final : public SingleQueuePolicy {
 /// [Becchetti et al. 2001]; reduces to SRPT under equal weights.
 class HdfPolicy final : public SingleQueuePolicy {
  public:
-  std::string name() const override { return DecoratedName("HDF"); }
+  std::string name() const override { return "HDF"; }
 
  protected:
   double KeyFor(TxnId id, SimTime now) const override;
@@ -139,7 +109,7 @@ class HdfPolicy final : public SingleQueuePolicy {
 /// Deadline- and length-oblivious; included as an extra baseline.
 class HvfPolicy final : public SingleQueuePolicy {
  public:
-  std::string name() const override { return DecoratedName("HVF"); }
+  std::string name() const override { return "HVF"; }
 
  protected:
   double KeyFor(TxnId id, SimTime now) const override;

@@ -26,41 +26,31 @@ std::unique_ptr<SchedulerPolicy> CreatePlain(const std::string& name) {
   return nullptr;
 }
 
-/// "<base>-sharded": `base` with per-server ownership and steal
-/// accounting (see ShardedPolicyState in sched/scheduler_policy.h).
-/// Byte-identical schedules to the base policy — pinned by the sharded
-/// differential matrix — so these are NOT distinct policies and stay
-/// out of KnownPolicyNames().
-std::unique_ptr<SchedulerPolicy> CreateSharded(const std::string& base) {
-  auto inner = CreatePlain(base);
-  if (auto* sq = dynamic_cast<SingleQueuePolicy*>(inner.get())) {
-    sq->EnableSharded();
-    return inner;
+/// The bases the "-sharded" suffix accepts (see policy_factory.h).
+bool HasShardedAlias(const std::string& base) {
+  for (const char* name : {"FCFS", "EDF", "SRPT", "LS", "HDF", "HVF",
+                           "ASETS*"}) {
+    if (base == name) return true;
   }
-  if (auto* asets_star = dynamic_cast<AsetsStarPolicy*>(inner.get())) {
-    asets_star->EnableSharded();
-    return inner;
-  }
-  return nullptr;
+  return false;
 }
 
 }  // namespace
 
 Result<std::unique_ptr<SchedulerPolicy>> CreatePolicy(
     const std::string& spec) {
-  // Sharded-state variant: "<base>-sharded".
+  // "<base>-sharded" builds <base> itself.
   const std::string sharded_suffix = "-sharded";
   if (spec.size() > sharded_suffix.size() &&
       spec.compare(spec.size() - sharded_suffix.size(),
                    sharded_suffix.size(), sharded_suffix) == 0) {
     const std::string base =
         spec.substr(0, spec.size() - sharded_suffix.size());
-    auto policy = CreateSharded(base);
-    if (policy == nullptr) {
+    if (!HasShardedAlias(base)) {
       return Status::NotFound("policy '" + base +
                               "' has no sharded-state variant");
     }
-    return policy;
+    return CreatePlain(base);
   }
 
   // MIX with an explicit blend: "MIX(<beta>)"; bare "MIX" uses beta=0.5.

@@ -20,14 +20,13 @@ namespace webtx {
 ///   "ASETS*"                      workflow-level general ASETS*
 ///   "<inner>-BA(time=<rate>)"     balance-aware wrapper, time-based
 ///   "<inner>-BA(count=<rate>)"    balance-aware wrapper, count-based
-///   "<base>-sharded"              sharded-state variant (per-server
-///                                 ownership + steal accounting;
-///                                 byte-identical schedules — supported
+///   "<base>-sharded"              no-op suffix: builds <base> itself,
 ///                                 for the single-queue policies and
-///                                 "ASETS*")
+///                                 "ASETS*" only. Kept because the
+///                                 repository benchmark's self-test
+///                                 runs "SRPT-sharded".
 ///
-/// Examples: "ASETS*-BA(time=0.005)", "ASETS-BA(count=0.05)",
-/// "SRPT-sharded", "ASETS*-sharded".
+/// Examples: "ASETS*-BA(time=0.005)", "ASETS-BA(count=0.05)".
 Result<std::unique_ptr<SchedulerPolicy>> CreatePolicy(const std::string& spec);
 
 /// Names of the plain (non-wrapped) policies the factory knows about.

@@ -12,43 +12,10 @@
 
 namespace webtx {
 
-/// Optional sharded-state surface of a policy: every ready transaction
-/// (ASETS*: every workflow) is OWNED by one shard (one shard per
-/// server), and a transaction placed on a server whose shard does not
-/// own it is STOLEN — its ownership moves to the placing shard. The
-/// ready set itself stays in the policy's one global queue: ownership is
-/// bookkeeping that never reaches a pick, so RunResult digests are
-/// byte-identical to the global-state policies (pinned by
-/// tests/sim/sharded_differential_test.cc), and steal_count() measures
-/// how often k-server rounds move work between servers.
-///
-/// Protocol, driven by the simulator (see sim/simulator.cc):
-///   1. `BindShards(k)` once per run, after SchedulerPolicy::Bind and
-///      before any event; a policy whose BindShards is never called
-///      behaves as one shard and never steals.
-///   2. `OnPlaced(id, server, now)` for every transaction newly
-///      dispatched in a multi-server round, in ascending server order.
-///      Crash-migration rebinds and admission-deferred re-entries need
-///      no extra hook: the transaction keeps its owner until the
-///      OnPlaced of its next dispatch.
-///   3. `steal_count()` is the number of ownership moves so far this
-///      run (reset by BindShards).
-class ShardedPolicyState {
- public:
-  virtual ~ShardedPolicyState() = default;
-
-  /// Assigns initial owners over `num_shards` shards (clamped to >= 1).
-  /// Must be called before any event callback; resets the steal
-  /// counter.
-  virtual void BindShards(uint32_t num_shards) = 0;
-
-  /// Transaction `id` was dispatched to `server` this round; steals it
-  /// into the server's shard if another shard owns it.
-  virtual void OnPlaced(TxnId id, uint32_t server, SimTime now) = 0;
-
-  /// Ownership moves performed since BindShards.
-  virtual uint64_t steal_count() const = 0;
-};
+/// Declared only; nothing defines it. Kept, with
+/// SchedulerPolicy::AsShardedState(), because the repository benchmark
+/// overrides that hook.
+class ShardedPolicyState;
 
 /// Interface every scheduling policy implements.
 ///
@@ -172,10 +139,8 @@ class SchedulerPolicy {
   /// false but do react to the callback are contract violations.
   virtual bool WantsRemainingUpdates() const { return true; }
 
-  /// The policy's sharded-state surface, or null for global-state
-  /// policies (the default). The simulator calls this once per Run,
-  /// right after Bind, and drives the ShardedPolicyState protocol only
-  /// on a non-null result.
+  /// Always null, and nothing in the library calls it. Kept because the
+  /// repository benchmark overrides it.
   virtual ShardedPolicyState* AsShardedState() { return nullptr; }
 
  protected:

@@ -179,14 +179,6 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   ResetRuntimeState();
   policy.Bind(*this);
   WEBTX_CHECK_GE(options_.num_servers, 1u);
-  // Sharded-state policies track per-server ownership and get the
-  // ShardedPolicyState protocol driven below (OnPlaced per newly
-  // dispatched transaction in ascending server order). Ownership never
-  // changes a decision (sched/scheduler_policy.h).
-  ShardedPolicyState* const sharded = policy.AsShardedState();
-  if (sharded != nullptr) {
-    sharded->BindShards(static_cast<uint32_t>(options_.num_servers));
-  }
 
   std::unique_ptr<AdmissionController> admission;
   if (options_.admission) {
@@ -795,12 +787,6 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
         if (next_running[s] != kInvalidTxn) {
           dispatch_time[s] = now + options_.context_switch_cost;
           segment_start[s] = dispatch_time[s];
-          // Steal/handoff point of the sharded-state protocol: newly
-          // dispatched transactions are announced in ascending server
-          // order, so ownership moves replay identically run to run.
-          if (sharded != nullptr) {
-            sharded->OnPlaced(next_running[s], static_cast<uint32_t>(s), now);
-          }
         }
       }
       running[s] = next_running[s];

@@ -3,16 +3,17 @@
 // retired keys rejected, a deterministic and pinned case stream, a clean
 // small campaign, shrinking that keeps its predicate — are written once
 // below and instantiated per profile under each suite's historical test
-// names (huge and steal share sim's field table, parser and shrink
-// steps, so of these they run only the pinned case stream and, for
-// steal, the clean campaign). The profile-specific tests follow: sim
-// digest, shrink targets and fault-window bisection; steal's sharded
-// re-run; live and twin digest-stable runs and shrink bounds; the twin
-// controller-off and guard-trip scenarios.
+// names (huge shares sim's field table, parser and shrink steps, so of
+// these it runs only the pinned case stream). The profile-specific tests
+// follow: sim digest, shrink targets and fault-window bisection; live
+// and twin digest-stable runs and shrink bounds; the twin controller-off
+// and guard-trip scenarios.
 
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -204,9 +205,6 @@ TEST(ChaosRandomTest, CasesAreDeterministic) {
 TEST(HugeChaosTest, CasesAreDeterministic) {
   ExpectDeterministicPerIndex(HugeChaosProfile(), 0xcac0023f9e7343fdULL);
 }
-TEST(StealChaosTest, CasesAreDeterministic) {
-  ExpectDeterministicPerIndex(StealChaosProfile(), 0x5d1ffc40e4f817bfULL);
-}
 TEST(LiveChaosTest, RandomCasesAreDeterministicPerIndex) {
   ExpectDeterministicPerIndex(LiveChaosProfile(), 0x95f1652ab5ab0689ULL);
 }
@@ -219,9 +217,6 @@ TEST(TwinChaosTest, RandomCasesAreDeterministicPerIndex) {
 // test.
 TEST(ChaosCampaignTest, HealthySimulatorPassesACampaign) {
   ExpectCleanCampaign(SimChaosProfile(), 40, {"crashes", "migrations"});
-}
-TEST(StealChaosTest, SmallCampaignRunsClean) {
-  ExpectCleanCampaign(StealChaosProfile(), 6, {"crashes", "migrations"});
 }
 TEST(LiveChaosTest, SmallCampaignRunsCleanAndExercisesFaults) {
   ExpectCleanCampaign(LiveChaosProfile(), 6, {"crashes"});
@@ -421,32 +416,16 @@ TEST(ChaosShrinkTest, BisectsTheOutageTimelineToLoadBearingInstants) {
   EXPECT_GE(rerun.ValueOrDie().num_outages, 1u);
 }
 
-TEST(StealChaosTest, ShardedVariantIsTheOnlyNeutralRerun) {
-  const CaseProfile<ChaosCase>& p = StealChaosProfile();
-  const ChaosCase c = p.random(2009, 4);
-  const auto variants = p.neutral(c);
-  ASSERT_EQ(variants.size(), 1u);
-  EXPECT_EQ(variants[0].c.policy, c.policy + "-sharded");
-  auto check = p.Check(c);
-  ASSERT_TRUE(check.ok()) << check.status();
-  EXPECT_TRUE(check.ValueOrDie().verdict.ok()) << check.ValueOrDie().verdict;
-}
-
-TEST(StealChaosTest, ReplaysRerunTheShardedVariant) {
-  const CaseProfile<ChaosCase>& p = StealChaosProfile();
-  // ASETS has no "-sharded" variant, so only a check that re-runs the
-  // variant fails on this case.
-  ChaosCase c = p.random(2009, 4);
-  c.policy = "ASETS";
-  const std::string text = p.Serialize(c);
-  auto profile = ReplayProfile(text);
-  ASSERT_TRUE(profile.ok()) << profile.status();
-  EXPECT_EQ(profile.ValueOrDie(), &p);
-  EXPECT_FALSE(profile.ValueOrDie()->Replay(text).ok());
-  const std::string as_sim =
-      SimChaosProfile().header + text.substr(text.find('\n'));
-  EXPECT_EQ(ReplayProfile(as_sim).ValueOrDie(), &SimChaosProfile());
-  EXPECT_TRUE(SimChaosProfile().Replay(as_sim).ok());
+// No profile reads the retired steal dialect: a file that opens with its
+// header is not a replay, and no profile answers to its name.
+TEST(ChaosReplayTest, RetiredStealHeaderIsRejected) {
+  const std::string text = SimChaosProfile().Serialize(
+      SimChaosProfile().random(2009, 4));
+  auto profile =
+      ReplayProfile("webtx-steal-replay v1" + text.substr(text.find('\n')));
+  ASSERT_FALSE(profile.ok());
+  EXPECT_EQ(profile.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(FindChaosProfile("steal"), nullptr);
 }
 
 // -- live ------------------------------------------------------------------
@@ -500,6 +479,24 @@ TEST(LiveChaosTest, RunIsDigestStableAndPassesItsOwnInvariants) {
   auto replayed = p.Replay(p.Serialize(c));
   ASSERT_TRUE(replayed.ok()) << replayed.status();
   EXPECT_EQ(replayed.ValueOrDie().digest, first.ValueOrDie().digest);
+}
+
+// The executor CHECKs these; the runner returns ExecutorOptions'
+// status before building it.
+TEST(LiveChaosTest, RunRejectsInvalidExecutorOptions) {
+  for (const double bad : {std::nan(""), -1.0}) {
+    LiveChaosCase stall = SmallLiveCase();
+    stall.watchdog_stall_seconds = bad;
+    LiveChaosCase backoff = SmallLiveCase();
+    backoff.retry_max_backoff = bad;
+    for (const auto& [c, field] : {std::pair{stall, "watchdog_stall_seconds"},
+                                   std::pair{backoff, "retry_max_backoff"}}) {
+      const Status status = RunLiveChaosCase(c).status();
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << field << "=" << bad;
+      EXPECT_NE(status.message().find(field), std::string::npos) << status;
+    }
+  }
 }
 
 TEST(LiveChaosTest, ShrinkPreservesThePredicate) {

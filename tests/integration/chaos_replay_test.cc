@@ -18,6 +18,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -301,6 +302,25 @@ TEST(ReplayValidationTest, CrossFieldEditsReturnAStatusFromTheRun) {
 
 TEST(ReplayValidationTest, PolicySpecEditsReturnAStatusFromTheRun) {
   for (const HostileEdit& edit : kPolicySpecEdits) ExpectRejectedByTheRun(edit);
+}
+
+// The simulator sizes its per-server arrays by num_servers and the
+// executor starts one thread per worker, so a pool past kMaxServers is
+// refused by the parser. Parsed only: such a case is never run.
+TEST(ReplayValidationTest, PoolSizeEditsAreBoundedByTheParser) {
+  const std::string at_bound = std::to_string(kMaxServers);
+  const std::string past_bound = std::to_string(kMaxServers + 1);
+  for (const auto& [file, key] : {std::pair{kSim, "num_servers"},
+                                  std::pair{kLive, "num_workers"},
+                                  std::pair{kTwin, "num_workers"}}) {
+    const std::string legal = Edited({file, key, at_bound.c_str()});
+    EXPECT_TRUE(ProfileOf(legal).Reserialize(legal).ok()) << file;
+    const HostileEdit edit{file, key, past_bound.c_str()};
+    const std::string edited = Edited(edit);
+    EXPECT_EQ(ProfileOf(edited).Reserialize(edited).status().code(),
+              StatusCode::kInvalidArgument)
+        << Describe(edit);
+  }
 }
 
 }  // namespace

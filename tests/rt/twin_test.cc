@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -74,6 +75,23 @@ TEST(TwinTest, RejectsInvalidOptions) {
   nan_slo.candidates[1].capacity_slo = std::nan("");
   const auto nan_run = rt::Twin(nan_slo).Run(arrivals);
   EXPECT_EQ(nan_run.status().code(), StatusCode::kInvalidArgument);
+
+  // The executor CHECKs these; the twin returns ExecutorOptions'
+  // status before building it.
+  for (const double bad : {std::nan(""), -1.0}) {
+    rt::TwinOptions stall = TwoCandidateOptions();
+    stall.watchdog_stall_seconds = bad;
+    rt::TwinOptions backoff = TwoCandidateOptions();
+    backoff.retry_max_backoff = bad;
+    for (const auto& [options, field] :
+         {std::pair{stall, "watchdog_stall_seconds"},
+          std::pair{backoff, "retry_max_backoff"}}) {
+      const Status status = rt::Twin(options).Run(arrivals).status();
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << field << "=" << bad;
+      EXPECT_NE(status.message().find(field), std::string::npos) << status;
+    }
+  }
 }
 
 TEST(TwinTest, ControllerOffServesEverythingDeterministically) {

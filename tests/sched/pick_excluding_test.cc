@@ -133,28 +133,6 @@ TEST(PickBatchTest, SingleQueueBatchMatchesGreedyChainEveryK) {
   }
 }
 
-TEST(PickBatchTest, ShardedSingleQueueBatchMatchesGreedyChain) {
-  FakeView view({Txn(0, 0, 2, 20), Txn(1, 0, 2, 10), Txn(2, 0, 2, 10),
-                 Txn(3, 0, 2, 30), Txn(4, 0, 2, 20), Txn(5, 0, 2, 5)});
-  view.ArriveAll();
-  const auto make = [&view](SrptPolicy& policy) {
-    policy.EnableSharded();
-    policy.Bind(view);
-    policy.BindShards(3);
-    for (TxnId id = 0; id < 6; ++id) policy.OnReady(id, 0.0);
-  };
-  SrptPolicy greedy_policy;
-  make(greedy_policy);
-  SrptPolicy batch_policy;
-  make(batch_policy);
-  for (size_t k = 1; k <= 6; ++k) {
-    const std::vector<TxnId> greedy = GreedyChain(greedy_policy, 0.0, k);
-    std::vector<TxnId> batch;
-    batch_policy.PickBatch(0.0, k, batch);
-    EXPECT_EQ(batch, greedy) << "k=" << k;
-  }
-}
-
 TEST(PickBatchTest, AsetsBatchMatchesGreedyChainAcrossBothLists) {
   // T0 meets its deadline (EDF-List); T1 and T2 are tardy (HDF-List),
   // so the batch's two-pointer walk must interleave the lists exactly
@@ -214,7 +192,7 @@ TEST(PickBatchTest, DefaultBatchDrivesOverriddenPickNextExcluding) {
 // ASETS* overrides PickBatch with an incremental round (each pick
 // excluded once, one restore flush at the end). It must reproduce the
 // greedy chain's picks AND leave the policy exactly as the chain does —
-// the next round and the sharded steal accounting read that state.
+// the next round reads that state.
 // Seeded random FakeView states cover what the proof leans on:
 // overlapping workflows (T0 heads the workflows rooted at T1 and T2),
 // workflows on both lists, key ties (deadlines, lengths and weights from

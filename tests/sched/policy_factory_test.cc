@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 namespace webtx {
 namespace {
 
@@ -85,6 +88,40 @@ TEST(PolicyFactoryTest, MalformedBalanceAwareSpecs) {
   // An infinite rate means "activate at every point" and stays legal.
   EXPECT_TRUE(CreatePolicy("EDF-BA(time=inf)").ok());
   EXPECT_TRUE(CreatePolicy("ASETS-BA(count=inf)").ok());
+}
+
+// "<base>-sharded" is a no-op suffix: it builds the base policy itself,
+// for the six single-queue policies and ASETS* only, and no policy has
+// sharded state. The ShardedPolicyStateTest names date from when the
+// suffix built a variant with per-server ownership.
+TEST(ShardedPolicyStateTest, FactoryCreatesShardedVariants) {
+  for (const char* base :
+       {"FCFS", "EDF", "SRPT", "LS", "HDF", "HVF", "ASETS*"}) {
+    const std::string spec = std::string(base) + "-sharded";
+    auto policy = CreatePolicy(spec);
+    ASSERT_TRUE(policy.ok()) << spec << ": " << policy.status();
+    EXPECT_EQ(policy.ValueOrDie()->name(), base);
+    EXPECT_EQ(policy.ValueOrDie()->AsShardedState(), nullptr) << spec;
+  }
+}
+
+TEST(ShardedPolicyStateTest, PlainPoliciesHaveNoShardedState) {
+  for (const char* base : {"FCFS", "SRPT", "ASETS*", "ASETS", "Ready"}) {
+    auto policy = CreatePolicy(base);
+    ASSERT_TRUE(policy.ok()) << base << ": " << policy.status();
+    EXPECT_EQ(policy.ValueOrDie()->AsShardedState(), nullptr) << base;
+  }
+}
+
+TEST(ShardedPolicyStateTest, UnsupportedBasesAreNotFound) {
+  for (const char* spec :
+       {"ASETS-sharded", "Ready-sharded", "MIX-sharded", "MIX(0.25)-sharded",
+        "ASETS*-BA(time=0.01)-sharded", "Nope-sharded", "ASETS*-lazy",
+        "ASETS*-lazy-sharded"}) {
+    auto policy = CreatePolicy(spec);
+    ASSERT_FALSE(policy.ok()) << spec;
+    EXPECT_EQ(policy.status().code(), StatusCode::kNotFound) << spec;
+  }
 }
 
 TEST(PolicyFactoryTest, EmptySpecFails) {

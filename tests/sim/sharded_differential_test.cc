@@ -1,10 +1,12 @@
 // Differential matrix pinning the sharded simulator to the frozen
 // pre-shard implementation (tests/testing/reference_simulator.h): for
-// every (policy, topology, fault regime, num_servers) combination the
+// every (policy, input, fault regime, num_servers) combination the
 // ScheduleDigest — schedule segments, outcomes, and all counters — must
 // be byte-identical. This is the tentpole guarantee of the shard
 // refactor: sharding is a pure reorganization of the event loop, never
-// observable in results.
+// observable in results. The inputs are independent transactions,
+// workflows at utilization 0.9, and an overloaded shape in which every
+// round contends for all k servers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,15 +26,21 @@ namespace {
 
 constexpr size_t kServers[] = {1, 2, 4, 8};
 
-std::vector<TransactionSpec> MakeWorkload(bool workflows, uint64_t seed) {
+// The matrix inputs. kOverloaded has deep ready sets with workflow
+// chains: every multi-server round ranks more ready transactions than
+// there are servers.
+enum class Input { kIndependent, kWorkflows, kOverloaded };
+
+std::vector<TransactionSpec> MakeWorkload(Input input, uint64_t seed) {
+  const bool overloaded = input == Input::kOverloaded;
   WorkloadSpec spec;
-  spec.num_transactions = 80;
-  spec.utilization = 0.9;
+  spec.num_transactions = overloaded ? 100 : 80;
+  spec.utilization = overloaded ? 3.0 : 0.9;
   spec.min_weight = 1;
   spec.max_weight = 10;
   spec.estimate_error = 0.2;  // exercises the estimate floor paths
-  if (workflows) {
-    spec.max_workflow_length = 4;
+  if (input != Input::kIndependent) {
+    spec.max_workflow_length = overloaded ? 5 : 4;
     spec.max_workflows_per_txn = 2;
   }
   auto generator = WorkloadGenerator::Create(spec);
@@ -109,21 +117,27 @@ RunResult RunSharded(const std::vector<TransactionSpec>& txns,
   return sim.ValueOrDie().Run(*policy.ValueOrDie());
 }
 
+void ExpectMatchesReference(const std::vector<TransactionSpec>& txns,
+                            const SimOptions& options,
+                            const std::string& input) {
+  for (const std::string& spec : PolicySpecs()) {
+    const RunResult got = RunSharded(txns, options, spec);
+    EXPECT_EQ(ScheduleDigest(got), ReferenceDigest(txns, options, spec))
+        << "sharded simulator diverged from the pre-shard reference: "
+        << "policy=" << spec << " input=" << input
+        << " servers=" << options.num_servers;
+  }
+}
+
 void RunMatrix(Regime regime) {
-  const std::vector<std::string> specs = PolicySpecs();
-  for (const bool workflows : {false, true}) {
-    for (const size_t servers : kServers) {
-      const std::vector<TransactionSpec> txns =
-          MakeWorkload(workflows, 7u + servers + (workflows ? 100u : 0u));
-      const SimOptions options = RegimeOptions(regime, servers);
-      for (const std::string& spec : specs) {
-        const RunResult got = RunSharded(txns, options, spec);
-        EXPECT_EQ(ScheduleDigest(got), ReferenceDigest(txns, options, spec))
-            << "sharded simulator diverged from the pre-shard reference: "
-            << "policy=" << spec << " workflows=" << workflows
-            << " servers=" << servers;
-      }
-    }
+  for (const size_t servers : kServers) {
+    const SimOptions options = RegimeOptions(regime, servers);
+    ExpectMatchesReference(MakeWorkload(Input::kIndependent, 7u + servers),
+                           options, "independent");
+    ExpectMatchesReference(MakeWorkload(Input::kWorkflows, 107u + servers),
+                           options, "workflows");
+    ExpectMatchesReference(MakeWorkload(Input::kOverloaded, 29u + servers),
+                           options, "overloaded");
   }
 }
 
@@ -139,11 +153,52 @@ TEST(ShardedDifferentialTest, CorrelatedCrashMatrix) {
   RunMatrix(Regime::kCorrelated);
 }
 
+// "<base>-sharded" is a no-op alias that builds <base> itself (see
+// sched/policy_factory.h). Every alias must run byte-identical to its
+// base on the frozen reference, on the overloaded input where every
+// multi-server round contends for all k servers. The "StealMatrix" names
+// date from when the suffix added per-server ownership with steal
+// accounting.
+constexpr const char* kShardedBases[] = {"FCFS", "EDF", "SRPT",  "LS",
+                                         "HDF",  "HVF", "ASETS*"};
+
+void RunStealMatrix(Regime regime) {
+  for (const size_t servers : kServers) {
+    const std::vector<TransactionSpec> txns =
+        MakeWorkload(Input::kOverloaded, 29u + servers);
+    const SimOptions options = RegimeOptions(regime, servers);
+    for (const char* base : kShardedBases) {
+      const RunResult got =
+          RunSharded(txns, options, std::string(base) + "-sharded");
+      EXPECT_EQ(ScheduleDigest(got), ReferenceDigest(txns, options, base))
+          << "-sharded alias diverged from its base: policy=" << base
+          << "-sharded servers=" << servers;
+    }
+  }
+}
+
+TEST(ShardedPolicyDifferentialTest, StealMatrixFailureFree) {
+  RunStealMatrix(Regime::kFailureFree);
+}
+
+TEST(ShardedPolicyDifferentialTest, StealMatrixFaulty) {
+  RunStealMatrix(Regime::kFaulty);
+}
+
+TEST(ShardedPolicyDifferentialTest, StealMatrixCrashy) {
+  RunStealMatrix(Regime::kCrashy);
+}
+
+TEST(ShardedPolicyDifferentialTest, StealMatrixCorrelatedCrashes) {
+  RunStealMatrix(Regime::kCorrelated);
+}
+
 // Counter-level cross-check with readable failure messages: the digest
 // above proves equality, this names the first differing field when a
 // regression is being debugged.
 TEST(ShardedDifferentialTest, CountersMatchReference) {
-  const std::vector<TransactionSpec> txns = MakeWorkload(true, 42);
+  const std::vector<TransactionSpec> txns =
+      MakeWorkload(Input::kWorkflows, 42);
   const SimOptions options = RegimeOptions(Regime::kCrashy, 4);
   auto ref_sim = testing::ReferenceSimulator::Create(txns, options);
   ASSERT_TRUE(ref_sim.ok()) << ref_sim.status();
@@ -166,121 +221,26 @@ TEST(ShardedDifferentialTest, CountersMatchReference) {
   EXPECT_EQ(got.schedule.size(), want.schedule.size());
 }
 
-// --- Sharded policy state: the steal-protocol differential matrix ---
-//
-// "<base>-sharded" adds per-server ownership with deterministic steal
-// accounting to the POLICY (sched/scheduler_policy.h). The matrix pins
-// every sharded-state variant byte-identical to its global-state base
-// run on the frozen pre-shard reference, under steal-heavy workloads:
-// deep ready sets (utilization >> 1) with workflow chains, so every
-// multi-server round shuffles pick ranks across servers and OnPlaced
-// constantly re-homes ownership between shards.
-
-constexpr const char* kShardedBases[] = {"FCFS", "EDF", "SRPT",  "LS",
-                                         "HDF",  "HVF", "ASETS*"};
-
-std::vector<TransactionSpec> MakeStealHeavyWorkload(uint64_t seed) {
-  WorkloadSpec spec;
-  spec.num_transactions = 100;
-  spec.utilization = 3.0;  // overloaded: all k servers contend every round
-  spec.min_weight = 1;
-  spec.max_weight = 10;
-  spec.estimate_error = 0.2;
-  spec.max_workflow_length = 5;
-  spec.max_workflows_per_txn = 2;
-  auto generator = WorkloadGenerator::Create(spec);
-  EXPECT_TRUE(generator.ok()) << generator.status();
-  return generator.ValueOrDie().Generate(seed);
-}
-
-void RunStealMatrix(Regime regime) {
-  for (const size_t servers : kServers) {
-    const std::vector<TransactionSpec> txns =
-        MakeStealHeavyWorkload(29u + servers);
-    const SimOptions options = RegimeOptions(regime, servers);
-    for (const char* base : kShardedBases) {
-      const RunResult got =
-          RunSharded(txns, options, std::string(base) + "-sharded");
-      EXPECT_EQ(ScheduleDigest(got), ReferenceDigest(txns, options, base))
-          << "sharded policy state diverged from the global-state base: "
-          << "policy=" << base << "-sharded servers=" << servers;
-    }
-  }
-}
-
-TEST(ShardedPolicyDifferentialTest, StealMatrixFailureFree) {
-  RunStealMatrix(Regime::kFailureFree);
-}
-
-TEST(ShardedPolicyDifferentialTest, StealMatrixFaulty) {
-  RunStealMatrix(Regime::kFaulty);
-}
-
-TEST(ShardedPolicyDifferentialTest, StealMatrixCrashy) {
-  RunStealMatrix(Regime::kCrashy);
-}
-
-TEST(ShardedPolicyDifferentialTest, StealMatrixCorrelatedCrashes) {
-  RunStealMatrix(Regime::kCorrelated);
-}
-
-// The steal protocol must actually engage on contended multi-server
-// runs (a matrix that never steals proves nothing), with the
-// global-state twin exposing no sharded state at all.
-TEST(ShardedPolicyDifferentialTest, StealProtocolEngagesAndIsAccounted) {
-  const std::vector<TransactionSpec> txns = MakeStealHeavyWorkload(5);
-  const SimOptions options = RegimeOptions(Regime::kCrashy, 4);
-  for (const char* spec : {"SRPT-sharded", "ASETS*-sharded"}) {
-    auto sim = Simulator::Create(txns, options);
-    ASSERT_TRUE(sim.ok()) << sim.status();
-    auto policy = CreatePolicy(spec);
-    ASSERT_TRUE(policy.ok()) << policy.status();
-    sim.ValueOrDie().Run(*policy.ValueOrDie());
-    ShardedPolicyState* state = policy.ValueOrDie()->AsShardedState();
-    ASSERT_NE(state, nullptr) << spec;
-    EXPECT_GT(state->steal_count(), 0u)
-        << spec << " never stole on a contended 4-server run";
-  }
-  auto global = CreatePolicy("SRPT");
-  ASSERT_TRUE(global.ok()) << global.status();
-  EXPECT_EQ(global.ValueOrDie()->AsShardedState(), nullptr);
-}
-
-// Exact steal counts on the steal-heavy workload: ownership moves are a
-// pure function of the placement sequence, so any drift means OnPlaced
-// or the placement order changed. Each cell also reuses one simulator
-// and one policy object across runs (Bind and BindShards reset all
-// per-run state), and every warm run must replay the first byte for
-// byte.
-TEST(ShardedPolicyDifferentialTest, StealCountsArePinned) {
-  struct Pin {
-    const char* spec;
-    size_t servers;
-    uint64_t steals;
-  };
-  const Pin kPins[] = {
-      {"SRPT-sharded", 2, 64},    {"SRPT-sharded", 4, 145},
-      {"SRPT-sharded", 8, 174},   {"ASETS*-sharded", 2, 81},
-      {"ASETS*-sharded", 4, 176}, {"ASETS*-sharded", 8, 168},
-  };
-  for (const Pin& pin : kPins) {
-    const std::vector<TransactionSpec> txns =
-        MakeStealHeavyWorkload(29u + pin.servers);
-    auto sim =
-        Simulator::Create(txns, RegimeOptions(Regime::kCrashy, pin.servers));
-    ASSERT_TRUE(sim.ok()) << sim.status();
-    auto policy = CreatePolicy(pin.spec);
-    ASSERT_TRUE(policy.ok()) << policy.status();
-    uint64_t first = 0;
-    for (int run = 1; run <= 3; ++run) {
-      const uint64_t digest =
-          ScheduleDigest(sim.ValueOrDie().Run(*policy.ValueOrDie()));
-      if (run == 1) first = digest;
-      EXPECT_EQ(digest, first) << pin.spec << " servers=" << pin.servers
-                               << ": warm run " << run << " diverged";
-      EXPECT_EQ(policy.ValueOrDie()->AsShardedState()->steal_count(),
-                pin.steals)
-          << pin.spec << " servers=" << pin.servers << " run " << run;
+// One simulator and one policy object reused across runs: Bind resets
+// all per-run state, so every warm run replays the first byte for byte.
+TEST(ShardedDifferentialTest, WarmRunsReplayTheFirst) {
+  for (const char* spec : {"SRPT", "ASETS*"}) {
+    for (const size_t servers : {2u, 4u, 8u}) {
+      const std::vector<TransactionSpec> txns =
+          MakeWorkload(Input::kOverloaded, 29u + servers);
+      auto sim =
+          Simulator::Create(txns, RegimeOptions(Regime::kCrashy, servers));
+      ASSERT_TRUE(sim.ok()) << sim.status();
+      auto policy = CreatePolicy(spec);
+      ASSERT_TRUE(policy.ok()) << policy.status();
+      uint64_t first = 0;
+      for (int run = 1; run <= 3; ++run) {
+        const uint64_t digest =
+            ScheduleDigest(sim.ValueOrDie().Run(*policy.ValueOrDie()));
+        if (run == 1) first = digest;
+        EXPECT_EQ(digest, first) << spec << " servers=" << servers
+                                 << ": warm run " << run << " diverged";
+      }
     }
   }
 }

@@ -1,6 +1,6 @@
 // chaos — randomized fault-injection campaigns, replays and regression
 // minting over the campaign engine's profiles (exp/campaign.h): sim,
-// huge, steal, live, twin. Every case runs twice (digests must match),
+// huge, live, twin. Every case runs twice (digests must match),
 // re-runs its decision-neutral variants and is audited; the first
 // failure is shrunk and written as a replay file.
 //
@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
       mint_path = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--profile sim|huge|steal|live|twin] "
+                   "usage: %s [--profile sim|huge|live|twin] "
                    "[--cases N] [--seed S] [--out FILE] [--verbose]\n"
                    "       %s --replay FILE\n"
                    "       %s --mint FILE [--profile NAME] [--seed S]\n",
