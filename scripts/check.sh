@@ -13,8 +13,10 @@
 # rather than only in the opt-in bench gate.
 #
 # A chaos-smoke stage runs the randomized fault-injection campaigns of
-# tools/chaos against the plain build, one engine over three profiles at
-# seed 2009: sim (100 simulator cases), live (50 cases of the real
+# tools/chaos against the plain build, one engine over four profiles at
+# seed 2009: sim (100 simulator cases), huge (4 simulator cases of 10^5
+# transactions under a randomized fault cocktail; the schedule audit
+# is linear, so they take seconds), live (50 cases of the real
 # executor on worker threads under the virtual clock) and twin (25
 # digital-twin cases whose digest must not move across forecast_threads
 # 1/2/8; the forecast-engine unit suite, which pins the serial forecast
@@ -41,16 +43,16 @@
 # src/, perfbench/ or CMakeLists.txt has uncommitted changes. It takes
 # tens of minutes, and nothing else should run on the host meanwhile.
 #
-# A huge-smoke stage (opt-in) runs the 10^5-transaction open-system
-# point of bench/ext_huge_scale and one validator-audited case of the
-# huge chaos profile (10^5 transactions under a randomized fault
-# cocktail).
+# A huge-smoke stage (opt-in) builds the Release preset and runs the
+# 10^5-transaction open-system point of bench/ext_huge_scale and one
+# validator-audited case of the huge chaos profile (10^5 transactions
+# under a randomized fault cocktail) from that build.
 #
 # Usage: scripts/check.sh [--fast] [--chaos-smoke] [--huge-smoke]
 #                         [--bench-gate <rev>]
 #   --fast              plain preset only (skips chaos, sanitizers and
 #                       bench smoke)
-#   --chaos-smoke       plain preset + the three chaos campaigns only
+#   --chaos-smoke       plain preset + the four chaos campaigns only
 #   --huge-smoke        release build + 10^5-txn end-to-end run and a
 #                       validator-audited 10^5-txn chaos case only
 #   --bench-gate <rev>  the A/B gate of HEAD against revision <rev> only
@@ -230,6 +232,7 @@ chaos_smoke() {
   # baseline before the randomized twin campaign bothers.
   ./build/tests/rt_test --gtest_filter='TwinForecastEngineTest.*'
   chaos_campaign ./build sim 100
+  chaos_campaign ./build huge 4
   chaos_campaign ./build live 50
   chaos_campaign ./build twin 25
 }

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <string>
+#include <utility>
 
 namespace webtx {
 
 namespace {
+
+constexpr double kEps = 1e-6;
 
 std::string Describe(const ScheduleSegment& s) {
   return "T" + std::to_string(s.txn) + "@server" +
@@ -31,12 +33,92 @@ Status CounterMismatch(const char* counter, size_t in_result,
       std::to_string(from_outcomes));
 }
 
+/// Files the items 0..count-1 into `num_rows` compressed sparse rows by
+/// `row_of(item)`: row r is items[offsets[r], offsets[r + 1]), in
+/// ascending item order. After the running sum offsets[r] is the end of
+/// row r; filling in descending item order walks each cursor back to
+/// its row's start (the successor transpose of DependencyGraph).
+template <typename RowOf>
+void FileRows(size_t num_rows, size_t count, RowOf row_of,
+              std::vector<size_t>& offsets, std::vector<size_t>& items) {
+  offsets.assign(num_rows + 1, 0);
+  for (size_t i = 0; i < count; ++i) ++offsets[row_of(i)];
+  for (size_t r = 1; r <= num_rows; ++r) offsets[r] += offsets[r - 1];
+  items.resize(count);
+  for (size_t i = count; i-- > 0;) items[--offsets[row_of(i)]] = i;
+}
+
+/// Check 7's lookup over one window list (outages or crashes). Each
+/// server's windows are sorted by start, each carrying the largest end
+/// among itself and the windows before it. A window hits a segment iff
+/// `s.start < w.end - kEps && s.end > w.start + kEps`. Both sides are
+/// monotone in the window's bounds, rounding included, so the windows
+/// passing the second form a sorted prefix, and the first holds for one
+/// of them iff it holds for the prefix's running maximum: one binary
+/// search decides whether any window hits.
+class WindowIndex {
+ public:
+  WindowIndex(const std::vector<OutageWindow>& windows, size_t num_servers)
+      : windows_(windows) {
+    // Row num_servers gathers the windows no segment can hit: those of
+    // servers past the pool, and those with a NaN bound (every
+    // comparison with NaN is false).
+    std::vector<size_t> items;
+    FileRows(
+        num_servers + 1, windows.size(),
+        [&](size_t i) {
+          const OutageWindow& w = windows[i];
+          const bool live = w.server < num_servers && !std::isnan(w.start) &&
+                            !std::isnan(w.end);
+          return live ? size_t{w.server} : num_servers;
+        },
+        offsets_, items);
+    bounds_.resize(offsets_[num_servers]);
+    for (size_t j = 0; j < bounds_.size(); ++j) {
+      bounds_[j] = {windows[items[j]].start, windows[items[j]].end};
+    }
+    for (size_t server = 0; server < num_servers; ++server) {
+      std::sort(bounds_.begin() + offsets_[server],
+                bounds_.begin() + offsets_[server + 1]);
+      for (size_t j = offsets_[server] + 1; j < offsets_[server + 1]; ++j) {
+        bounds_[j].second = std::max(bounds_[j].second, bounds_[j - 1].second);
+      }
+    }
+  }
+
+  /// The first window in list order that hits `s` on its server, or
+  /// null. The list is scanned only once the lookup has found a hit.
+  const OutageWindow* FirstHit(const ScheduleSegment& s) const {
+    const auto first = bounds_.begin() + offsets_[s.server];
+    const auto last = bounds_.begin() + offsets_[s.server + 1];
+    const auto passed = std::partition_point(
+        first, last, [&](const std::pair<SimTime, SimTime>& b) {
+          return s.end > b.first + kEps;
+        });
+    if (passed == first || !(s.start < (passed - 1)->second - kEps)) {
+      return nullptr;
+    }
+    for (const OutageWindow& w : windows_) {
+      if (w.server == s.server && s.start < w.end - kEps &&
+          s.end > w.start + kEps) {
+        return &w;
+      }
+    }
+    return nullptr;
+  }
+
+ private:
+  const std::vector<OutageWindow>& windows_;
+  std::vector<size_t> offsets_;
+  /// Per server row: (start, running maximum of the ends), by start.
+  std::vector<std::pair<SimTime, SimTime>> bounds_;
+};
+
 }  // namespace
 
 Status ValidateSchedule(const std::vector<TransactionSpec>& specs,
                         const RunResult& result,
                         const ValidationOptions& options) {
-  constexpr double kEps = 1e-6;
   const size_t num_servers = options.num_servers;
   const bool cold = options.migration == MigrationPolicy::kCold;
   if (result.outcomes.size() != specs.size()) {
@@ -44,9 +126,10 @@ Status ValidateSchedule(const std::vector<TransactionSpec>& specs,
         "outcomes were not recorded; enable record_outcomes");
   }
 
-  std::vector<std::vector<const ScheduleSegment*>> by_server(num_servers);
-  std::map<TxnId, std::vector<const ScheduleSegment*>> by_txn;
-  for (const ScheduleSegment& s : result.schedule) {
+  const std::vector<ScheduleSegment>& schedule = result.schedule;
+  const WindowIndex outages(options.outages, num_servers);
+  const WindowIndex crashes(options.crashes, num_servers);
+  for (const ScheduleSegment& s : schedule) {
     if (s.server >= num_servers) {
       return Status::FailedPrecondition("segment on unknown server: " +
                                         Describe(s));
@@ -66,48 +149,53 @@ Status ValidateSchedule(const std::vector<TransactionSpec>& specs,
     }
     // 7. A down (outage) or crashed (awaiting repair) server executes
     // nothing.
-    for (const OutageWindow& w : options.outages) {
-      if (w.server != s.server) continue;
-      if (s.start < w.end - kEps && s.end > w.start + kEps) {
-        return Status::FailedPrecondition(
-            "executes during " + Describe("outage", w) + ": " + Describe(s));
-      }
+    if (const OutageWindow* w = outages.FirstHit(s)) {
+      return Status::FailedPrecondition(
+          "executes during " + Describe("outage", *w) + ": " + Describe(s));
     }
-    for (const OutageWindow& w : options.crashes) {
-      if (w.server != s.server) continue;
-      if (s.start < w.end - kEps && s.end > w.start + kEps) {
-        return Status::FailedPrecondition(
-            "executes on crashed server during " + Describe("repair", w) +
-            ": " + Describe(s));
-      }
+    if (const OutageWindow* w = crashes.FirstHit(s)) {
+      return Status::FailedPrecondition(
+          "executes on crashed server during " + Describe("repair", *w) +
+          ": " + Describe(s));
     }
-    by_server[s.server].push_back(&s);
-    by_txn[s.txn].push_back(&s);
   }
 
+  // Segment indices filed per server, then (reusing the arrays) per
+  // transaction, each row in schedule order and then sorted by start.
+  std::vector<size_t> offsets;
+  std::vector<size_t> rows;
+  const auto by_start = [&](size_t a, size_t b) {
+    return schedule[a].start < schedule[b].start;
+  };
+
   // 2. No overlap per server.
-  for (auto& segments : by_server) {
-    std::sort(segments.begin(), segments.end(),
-              [](const ScheduleSegment* a, const ScheduleSegment* b) {
-                return a->start < b->start;
-              });
-    for (size_t i = 1; i < segments.size(); ++i) {
-      if (segments[i]->start < segments[i - 1]->end - kEps) {
-        return Status::FailedPrecondition(
-            "server overlap between " + Describe(*segments[i - 1]) +
-            " and " + Describe(*segments[i]));
+  FileRows(
+      num_servers, schedule.size(),
+      [&](size_t i) { return size_t{schedule[i].server}; }, offsets, rows);
+  for (size_t server = 0; server < num_servers; ++server) {
+    std::sort(rows.begin() + offsets[server],
+              rows.begin() + offsets[server + 1], by_start);
+    for (size_t j = offsets[server] + 1; j < offsets[server + 1]; ++j) {
+      const ScheduleSegment& prev = schedule[rows[j - 1]];
+      const ScheduleSegment& cur = schedule[rows[j]];
+      if (cur.start < prev.end - kEps) {
+        return Status::FailedPrecondition("server overlap between " +
+                                          Describe(prev) + " and " +
+                                          Describe(cur));
       }
     }
   }
 
   // 3-6, 8. Per-transaction checks.
+  FileRows(
+      specs.size(), schedule.size(),
+      [&](size_t i) { return size_t{schedule[i].txn}; }, offsets, rows);
   size_t completed = 0;
   size_t shed = 0;
   size_t dropped_retries = 0;
   size_t dropped_dependency = 0;
   size_t migrations = 0;
   for (size_t i = 0; i < specs.size(); ++i) {
-    const auto id = static_cast<TxnId>(i);
     const TxnOutcome& o = result.outcomes[i];
     switch (o.fate) {
       case TxnFate::kCompleted:
@@ -147,8 +235,9 @@ Status ValidateSchedule(const std::vector<TransactionSpec>& specs,
             At(result.outcomes[dep].finish));
       }
     }
-    auto it = by_txn.find(id);
-    if (it == by_txn.end()) {
+    const size_t first = offsets[i];
+    const size_t last = offsets[i + 1];
+    if (first == last) {
       if (is_completed) {
         return Status::FailedPrecondition(
             "T" + std::to_string(i) + " completed" + At(o.finish) +
@@ -156,36 +245,37 @@ Status ValidateSchedule(const std::vector<TransactionSpec>& specs,
       }
       continue;  // shed/dropped before ever being dispatched
     }
-    auto& segments = it->second;
-    std::sort(segments.begin(), segments.end(),
-              [](const ScheduleSegment* a, const ScheduleSegment* b) {
-                return a->start < b->start;
-              });
+    std::sort(rows.begin() + first, rows.begin() + last, by_start);
+    const ScheduleSegment& front = schedule[rows[first]];
+    const ScheduleSegment& back = schedule[rows[last - 1]];
     double final_attempt_work = 0.0;
-    for (size_t s = 0; s < segments.size(); ++s) {
-      if (s > 0 && segments[s]->start < segments[s - 1]->end - kEps) {
-        return Status::FailedPrecondition(
-            "T" + std::to_string(i) + " runs on two servers at once: " +
-            Describe(*segments[s - 1]) + " and " + Describe(*segments[s]));
+    for (size_t j = first; j < last; ++j) {
+      const ScheduleSegment& seg = schedule[rows[j]];
+      if (j > first) {
+        const ScheduleSegment& prev = schedule[rows[j - 1]];
+        if (seg.start < prev.end - kEps) {
+          return Status::FailedPrecondition(
+              "T" + std::to_string(i) + " runs on two servers at once: " +
+              Describe(prev) + " and " + Describe(seg));
+        }
+        if (seg.attempt < prev.attempt) {
+          return Status::FailedPrecondition(
+              "T" + std::to_string(i) + " attempt numbers go backwards: " +
+              Describe(prev) + " then " + Describe(seg));
+        }
       }
-      if (s > 0 && segments[s]->attempt < segments[s - 1]->attempt) {
-        return Status::FailedPrecondition(
-            "T" + std::to_string(i) + " attempt numbers go backwards: " +
-            Describe(*segments[s - 1]) + " then " + Describe(*segments[s]));
-      }
-      if (segments[s]->attempt > max_attempt) {
+      if (seg.attempt > max_attempt) {
         return Status::FailedPrecondition(
             "T" + std::to_string(i) + " segment of attempt " +
-            std::to_string(segments[s]->attempt) + " (" +
-            Describe(*segments[s]) + ") but only " +
-            std::to_string(o.aborts) + " aborts and " +
+            std::to_string(seg.attempt) + " (" + Describe(seg) +
+            ") but only " + std::to_string(o.aborts) + " aborts and " +
             std::to_string(o.migrations) + " migrations (" +
             (cold ? "cold" : "warm") + " failover) recorded");
       }
       // 5. Only the final attempt's work counts toward completion;
       // earlier attempts were discarded by an abort or cold migration.
-      if (segments[s]->attempt == max_attempt) {
-        final_attempt_work += segments[s]->end - segments[s]->start;
+      if (seg.attempt == max_attempt) {
+        final_attempt_work += seg.end - seg.start;
       }
     }
     if (is_completed) {
@@ -198,11 +288,10 @@ Status ValidateSchedule(const std::vector<TransactionSpec>& specs,
             std::to_string(o.migrations) + " migrations, " +
             (cold ? "cold" : "warm") + " failover)");
       }
-      if (std::fabs(segments.back()->end - o.finish) > kEps) {
+      if (std::fabs(back.end - o.finish) > kEps) {
         return Status::FailedPrecondition(
-            "T" + std::to_string(i) + " last segment ends" +
-            At(segments.back()->end) + " (" + Describe(*segments.back()) +
-            ") but finish is" + At(o.finish));
+            "T" + std::to_string(i) + " last segment ends" + At(back.end) +
+            " (" + Describe(back) + ") but finish is" + At(o.finish));
       }
     } else {
       // A non-completed transaction must not have absorbed a full
@@ -222,16 +311,15 @@ Status ValidateSchedule(const std::vector<TransactionSpec>& specs,
         // A dependent only becomes ready once the dependency completes,
         // so it can never have executed at all.
         return Status::FailedPrecondition(
-            "T" + std::to_string(i) + " executed (" +
-            Describe(*segments.front()) + ") although dependency T" +
+            "T" + std::to_string(i) + " executed (" + Describe(front) +
+            ") although dependency T" +
             std::to_string(dep) + " never completed (" +
             TxnFateName(od.fate) + At(od.finish) + ")");
       }
-      if (segments.front()->start < od.finish - kEps) {
+      if (front.start < od.finish - kEps) {
         return Status::FailedPrecondition(
-            "T" + std::to_string(i) + " starts" +
-            At(segments.front()->start) + " (" +
-            Describe(*segments.front()) + ") before T" +
+            "T" + std::to_string(i) + " starts" + At(front.start) + " (" +
+            Describe(front) + ") before T" +
             std::to_string(dep) + " finishes" + At(od.finish));
       }
     }

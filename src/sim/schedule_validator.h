@@ -60,6 +60,15 @@ struct ValidationOptions {
 /// Returns OK or a FailedPrecondition describing the first violation;
 /// the message always carries the timestamps, server, and transaction
 /// ids involved, so a failing case is locatable without a debugger.
+/// Segments are accepted in any order; checks 1, 4 and 7 report the
+/// first violating segment in `result.schedule` order, and check 7 the
+/// first window in list order (outages before crashes).
+///
+/// Costs O(n + S + W) memory and O(n + S log S + W log W) time for n
+/// transactions, S segments and W windows (plus one pass over the
+/// dependency lists): segments are filed in flat per-server and
+/// per-transaction rows, and each segment looks up only its own
+/// server's windows.
 Status ValidateSchedule(const std::vector<TransactionSpec>& specs,
                         const RunResult& result,
                         const ValidationOptions& options);

@@ -62,7 +62,6 @@ struct Simulator::RunScratch {
   std::vector<char> pick_taken;
   std::vector<std::pair<TxnId, TxnFate>> resolve_stack;
   std::vector<uint64_t> pick_stamp;
-  std::vector<uint64_t> placed_stamp;
   std::vector<uint32_t> pick_slot;
   std::vector<OutageWindow> outages;
   std::vector<OutageWindow> crashes;
@@ -301,15 +300,13 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   resolve_stack.clear();
   resolve_stack.reserve(n);
   // Epoch-stamped pick-assignment lookup: a stamp equal to the current
-  // scheduling round marks "picked this round" / "placed this round"
-  // without any clearing between rounds. Replaces the pre-shard O(k^2)
-  // std::find matching of picks to servers with O(k). The stamps MUST
-  // be zeroed per run — the round counter restarts at 1 every run, so a
-  // stale stamp from a previous run would alias a fresh round.
+  // scheduling round marks "picked this round" without any clearing
+  // between rounds. Replaces the pre-shard O(k^2) std::find matching of
+  // picks to servers with O(k). The stamps MUST be zeroed per run — the
+  // round counter restarts at 1 every run, so a stale stamp from a
+  // previous run would alias a fresh round.
   std::vector<uint64_t>& pick_stamp = sc.pick_stamp;
   pick_stamp.assign(n, 0);
-  std::vector<uint64_t>& placed_stamp = sc.placed_stamp;
-  placed_stamp.assign(n, 0);
   std::vector<uint32_t>& pick_slot = sc.pick_slot;
   pick_slot.assign(n, 0);
   SimTime now = 0.0;
@@ -772,14 +769,12 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
         pick_taken[p] = 1;
       }
     }
-    for (size_t s = 0; s < k; ++s) {
-      if (next_running[s] != kInvalidTxn) {
-        placed_stamp[next_running[s]] = round;
-      }
-    }
+    // A running transaction placed this round is always kept on its own
+    // server (a running pick, or one the done-work rule holds), so it is
+    // preempted exactly when its server's next slot differs.
     for (size_t s = 0; s < k; ++s) {
       if (running[s] != kInvalidTxn && !finished_[running[s]] &&
-          placed_stamp[running[s]] != round) {
+          next_running[s] != running[s]) {
         ++preemptions;
       }
       if (next_running[s] != running[s]) {

@@ -277,6 +277,18 @@ std::string Describe(const HostileEdit& edit) {
   return std::string(edit.file) + ": " + edit.key + " " + edit.value;
 }
 
+// The 2000-transaction reproducer with outage_rate edited from 1/64 to
+// 10: the run records about 389,000 outage and 50,000 repair windows.
+// Scanning every window for every segment would audit it for minutes;
+// the audit must look each segment up among its own server's windows.
+TEST(ChaosReplayIntegrationTest, OutageHeavyHugeStructuresReplayIsAudited) {
+  const std::string edited = Edited({kHuge, "outage_rate", "10"});
+  auto check = ProfileOf(edited).Replay(edited);
+  ASSERT_TRUE(check.ok()) << check.status();
+  EXPECT_TRUE(check.ValueOrDie().verdict.ok()) << check.ValueOrDie().verdict;
+  EXPECT_EQ(check.ValueOrDie().digest, 0x00c294203909f5d4ULL);
+}
+
 TEST(ReplayValidationTest, HostileEditsReturnAStatusNamingTheLine) {
   for (const HostileEdit& edit : kHostileEdits) {
     const std::string edited = Edited(edit);

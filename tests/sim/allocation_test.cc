@@ -1,6 +1,6 @@
 // Allocation accounting for the hot path. This binary replaces the
 // global operator new/delete with counting versions (which is why it is
-// its own test executable) and pins two contracts:
+// its own test executable) and pins these contracts:
 //
 //  1. Re-binding ASETS* to a view it has seen before performs ZERO heap
 //     allocations: states, the flat live-member arena, the dirty set,
@@ -16,6 +16,9 @@
 //     process) must allocate EXACTLY the same number of times — any
 //     per-event allocation shows up as a difference proportional to the
 //     event-count gap.
+//  4. ValidateSchedule allocates a fixed number of blocks whatever the
+//     transaction count: its per-server and per-transaction indexes
+//     and its window lookups are flat arrays.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -28,6 +31,7 @@
 #include "sched/indexed_priority_queue.h"
 #include "sched/policies/asets_star.h"
 #include "sim/fault_plan.h"
+#include "sim/schedule_validator.h"
 #include "sim/simulator.h"
 #include "testing/fake_view.h"
 #include "workload/generator.h"
@@ -160,6 +164,52 @@ TEST(AllocationTest, CreateDoesNotAllocatePerTransaction) {
   EXPECT_LT(large, small + 64)
       << "Create allocated " << small << " times for 600 transactions and "
       << large << " times for 6000";
+}
+
+/// Allocations of one ValidateSchedule call auditing an OK schedule of
+/// `num_transactions` on two servers under outages, crashes and aborts.
+uint64_t AuditAllocations(size_t num_transactions) {
+  const std::vector<TransactionSpec> txns =
+      WorkflowWorkload(3, num_transactions);
+  SimOptions options;
+  options.num_servers = 2;
+  options.record_schedule = true;
+  options.retry.max_attempts = 4;
+  FaultPlanConfig fault;
+  fault.seed = 17;
+  fault.outage_rate = 0.05;
+  fault.mean_outage_duration = 2.0;
+  fault.crash_rate = 0.02;
+  fault.mean_repair_duration = 3.0;
+  fault.abort_rate = 0.05;
+  auto plan = FaultPlan::Create(fault);
+  WEBTX_CHECK(plan.ok()) << plan.status();
+  options.fault_plan = plan.ValueOrDie();
+  auto sim = Simulator::Create(txns, options);
+  WEBTX_CHECK(sim.ok()) << sim.status();
+  AsetsStarPolicy policy;
+  const RunResult run = sim.ValueOrDie().Run(policy);
+  WEBTX_CHECK(!run.outages.empty() && !run.crashes.empty());
+  ValidationOptions validation;
+  validation.num_servers = options.num_servers;
+  validation.outages = run.outages;
+  validation.crashes = run.crashes;
+  const uint64_t before = AllocationCount();
+  const Status audit = ValidateSchedule(txns, run, validation);
+  const uint64_t allocations = AllocationCount() - before;
+  WEBTX_CHECK(audit.ok()) << audit;
+  return allocations;
+}
+
+TEST(AllocationTest, ValidateScheduleDoesNotAllocatePerTransaction) {
+  if (!WEBTX_ALLOC_COUNTING) {
+    GTEST_SKIP() << "allocation counting disabled under sanitizers";
+  }
+  const uint64_t small = AuditAllocations(300);
+  const uint64_t large = AuditAllocations(3000);
+  EXPECT_EQ(small, large)
+      << "ValidateSchedule allocated " << small
+      << " times for 300 transactions and " << large << " times for 3000";
 }
 
 SimOptions AbortOptions(double abort_rate) {

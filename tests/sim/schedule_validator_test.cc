@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+
+#include "common/rng.h"
 #include "sched/policy_factory.h"
 #include "sim/simulator.h"
 #include "testing/fake_view.h"
@@ -250,6 +255,143 @@ TEST_F(CorruptionTest, CrashWindowDiagnosticsNameServerAndWindow) {
   EXPECT_NE(s.message().find("T" + std::to_string(result_.schedule[0].txn)),
             std::string::npos)
       << s.message();
+}
+
+// Check 7 looks each segment up among its own server's windows, sorted
+// by start with a running maximum of their ends. The verdict and the
+// message are those of a scan of every window: the first violating
+// segment in schedule order, and for it the first window in list order,
+// outages before crashes. The fixture's EDF schedule on server 0 is
+// T0 [0, 1), T1 [1, 3), T0 [3, 6), T2 [6, 9).
+
+TEST_F(CorruptionTest, OverlappingCrashWindowsNameTheFirstInListOrder) {
+  // Correlated crashes are recorded as separate, overlapping windows.
+  // Both hit T0 [3, 6); the later-starting one comes first in the list.
+  ValidationOptions options;
+  options.crashes = {OutageWindow{0, 5.0, 7.0}, OutageWindow{0, 4.0, 8.0}};
+  EXPECT_EQ(ValidateSchedule(txns_, result_, options).message(),
+            "executes on crashed server during repair@server0 [5.000000, "
+            "7.000000): T0@server0 [3.000000, 6.000000) attempt 0");
+}
+
+TEST_F(CorruptionTest, LongEarlyWindowCoversASegmentPastShorterLaterOnes) {
+  // The windows starting before T0 [0, 1) ends are, by start, a long one
+  // covering it and two shorter, later ones that end before it: only the
+  // running maximum of their ends sees the hit.
+  ValidationOptions options;
+  options.outages = {OutageWindow{0, -3.0, -2.0}, OutageWindow{0, -5.0, -4.0},
+                     OutageWindow{0, -10.0, 0.5}};
+  EXPECT_EQ(ValidateSchedule(txns_, result_, options).message(),
+            "executes during outage@server0 [-10.000000, 0.500000): "
+            "T0@server0 [0.000000, 1.000000) attempt 0");
+}
+
+TEST_F(CorruptionTest, WindowsAbuttingTheScheduleWithinEpsilonAreHarmless) {
+  // Overlaps of at most the validator's 1e-6 tolerance at either end of
+  // the busy period [0, 9), and a window starting exactly at its end.
+  ValidationOptions options;
+  options.outages = {OutageWindow{0, -5.0, 0.5e-6},
+                     OutageWindow{0, 9.0 - 0.5e-6, 20.0},
+                     OutageWindow{0, 9.0, 12.0}};
+  EXPECT_TRUE(ValidateSchedule(txns_, result_, options).ok());
+}
+
+TEST_F(CorruptionTest, WindowsOfOtherServersAreHarmless) {
+  // Server 1 is in the pool but idle; server 7 is past the pool.
+  ValidationOptions options;
+  options.num_servers = 2;
+  options.outages = {OutageWindow{1, 0.0, 100.0}, OutageWindow{7, 0.0, 100.0}};
+  options.crashes = {OutageWindow{7, 2.0, 4.0}};
+  RunResult r = result_;
+  r.num_crashes = 1;
+  EXPECT_TRUE(ValidateSchedule(txns_, r, options).ok());
+}
+
+TEST_F(CorruptionTest, UnsortedSchedulesAreAuditedInTheirOwnOrder) {
+  // ValidateSchedule is public: a caller may pass any segment order.
+  RunResult r = result_;
+  std::reverse(r.schedule.begin(), r.schedule.end());
+  EXPECT_TRUE(ValidateSchedule(txns_, r, 1).ok());
+  // The first violation is the first in the vector, here the latest.
+  ValidationOptions options;
+  options.outages = {OutageWindow{0, 0.5, 0.6}, OutageWindow{0, 7.0, 8.0}};
+  EXPECT_EQ(ValidateSchedule(txns_, r, options).message(),
+            "executes during outage@server0 [7.000000, 8.000000): "
+            "T2@server0 [6.000000, 9.000000) attempt 0");
+  // Per-server overlaps are found after sorting by start.
+  r.schedule[2].end = 3.5;  // T1 [1, 3) now runs into T0 [3, 6)
+  EXPECT_EQ(ValidateSchedule(txns_, r, 1).message(),
+            "server overlap between T1@server0 [1.000000, 3.500000) "
+            "attempt 0 and T0@server0 [3.000000, 6.000000) attempt 0");
+}
+
+TEST_F(CorruptionTest, WindowLookupMatchesAScanOfEveryWindow) {
+  // Random window lists on two servers with bounds at and around the
+  // segment boundaries, within and just past the 1e-6 tolerance, plus
+  // NaN bounds and servers past the pool. The expected message comes
+  // from the plain scan over every window of every segment.
+  const SimTime kPoints[] = {-1.0, 0.0, 1.0, 3.0, 6.0, 9.0, 10.0};
+  const SimTime kNudges[] = {-1.5e-6, -1e-6, -0.5e-6, 0.0,
+                             0.5e-6,  1e-6,  1.5e-6};
+  Rng rng(2009);
+  const auto bound = [&] {
+    if (rng.NextInRange(0, 19) == 0) return std::nan("");
+    return kPoints[rng.NextInRange(0, 6)] + kNudges[rng.NextInRange(0, 6)];
+  };
+  const auto windows = [&] {
+    std::vector<OutageWindow> list(rng.NextInRange(0, 4));
+    for (OutageWindow& w : list) {
+      w.server = static_cast<uint32_t>(rng.NextInRange(0, 2));
+      w.start = bound();
+      w.end = bound();
+    }
+    return list;
+  };
+  const auto first_hit = [](const std::vector<OutageWindow>& list,
+                            const ScheduleSegment& s) -> const OutageWindow* {
+    for (const OutageWindow& w : list) {
+      if (w.server == s.server && s.start < w.end - 1e-6 &&
+          s.end > w.start + 1e-6) {
+        return &w;
+      }
+    }
+    return nullptr;
+  };
+  size_t hits = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    ValidationOptions options;
+    options.num_servers = 2;
+    options.outages = windows();
+    options.crashes = windows();
+    RunResult r = result_;
+    r.num_crashes = options.crashes.size();
+    std::string expected;
+    for (const ScheduleSegment& s : r.schedule) {
+      if (const OutageWindow* w = first_hit(options.outages, s)) {
+        expected = "executes during outage@server" +
+                   std::to_string(w->server) + " [" +
+                   std::to_string(w->start) + ", " + std::to_string(w->end) +
+                   ")";
+      } else if (const OutageWindow* c = first_hit(options.crashes, s)) {
+        expected = "executes on crashed server during repair@server" +
+                   std::to_string(c->server) + " [" +
+                   std::to_string(c->start) + ", " + std::to_string(c->end) +
+                   ")";
+      } else {
+        continue;
+      }
+      expected += ": T" + std::to_string(s.txn) + "@server0 [" +
+                  std::to_string(s.start) + ", " + std::to_string(s.end) +
+                  ") attempt 0";
+      break;
+    }
+    hits += expected.empty() ? 0 : 1;
+    EXPECT_EQ(ValidateSchedule(txns_, r, options).message(), expected)
+        << "trial " << trial;
+  }
+  // Both verdicts are well represented.
+  EXPECT_GT(hits, 200u);
+  EXPECT_LT(hits, 1800u);
 }
 
 TEST_F(CorruptionTest, CounterDiagnosticsNameCounterAndBothValues) {
