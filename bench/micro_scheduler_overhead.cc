@@ -4,8 +4,8 @@
 // as EDF and SRPT."
 //
 // Benchmarks the full simulation cost per scheduling event as the number
-// of concurrently queued transactions grows, per policy, plus raw
-// IndexedPriorityQueue operations.
+// of concurrently queued transactions grows, per policy and at 1, 2 and
+// 4 servers, plus raw IndexedPriorityQueue operations.
 
 #include <benchmark/benchmark.h>
 
@@ -36,12 +36,15 @@ std::vector<TransactionSpec> OverloadWorkload(size_t n) {
   return generator.ValueOrDie().Generate(/*seed=*/5);
 }
 
+// `servers` > 1 runs the k-server round: one PickBatch plus the matching
+// of picks to servers per scheduling event.
 void BM_PolicyEventCost(benchmark::State& state,
-                        const std::string& policy_name) {
+                        const std::string& policy_name, size_t servers = 1) {
   const auto n = static_cast<size_t>(state.range(0));
   const auto txns = OverloadWorkload(n);
   SimOptions options;
   options.record_outcomes = false;
+  options.num_servers = servers;
   auto sim = Simulator::Create(txns, options);
   WEBTX_CHECK(sim.ok());
   auto policy = CreatePolicy(policy_name);
@@ -75,6 +78,22 @@ BENCHMARK_CAPTURE(BM_PolicyEventCost, ASETS, "ASETS")
     ->Range(256, 16384)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PolicyEventCost, ASETS_STAR, "ASETS*")
+    ->RangeMultiplier(4)
+    ->Range(256, 16384)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PolicyEventCost, EDF_2_servers, "EDF", 2)
+    ->RangeMultiplier(4)
+    ->Range(256, 16384)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PolicyEventCost, EDF_4_servers, "EDF", 4)
+    ->RangeMultiplier(4)
+    ->Range(256, 16384)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PolicyEventCost, ASETS_STAR_2_servers, "ASETS*", 2)
+    ->RangeMultiplier(4)
+    ->Range(256, 16384)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PolicyEventCost, ASETS_STAR_4_servers, "ASETS*", 4)
     ->RangeMultiplier(4)
     ->Range(256, 16384)
     ->Unit(benchmark::kMillisecond);
@@ -141,6 +160,29 @@ void BM_IndexedPqBulkLoad(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_IndexedPqBulkLoad)->RangeMultiplier(8)->Range(64, 262144);
+
+// The read-only top-k walk behind every single-queue PickBatch: one
+// k-server round's picks off an n-entry heap, which stays untouched.
+void BM_IndexedPqTopK(benchmark::State& state) {
+  const auto n = static_cast<size_t>(state.range(0));
+  const auto k = static_cast<size_t>(state.range(1));
+  Rng rng(13);
+  IndexedPriorityQueue q(n);
+  for (uint32_t id = 0; id < n; ++id) q.Push(id, rng.NextDouble());
+  IndexedPriorityQueue::TopKScratch frontier;
+  std::vector<uint32_t> out;
+  out.reserve(k);
+  for (auto _ : state) {
+    out.clear();
+    q.AppendTopK(k, out, frontier);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_IndexedPqTopK)
+    ->ArgNames({"n", "k"})
+    ->ArgsProduct({{64, 4096}, {1, 2, 4, 8, 32, 64}});
 
 }  // namespace
 }  // namespace webtx

@@ -54,7 +54,8 @@ inline constexpr double kMaxFaultRate = 10.0;
 /// `num_workers`). The simulator sizes about ten per-server arrays by
 /// `num_servers` and rt::Executor starts one OS thread per worker, so
 /// at kMaxIds one edited replay line exhausts memory or threads. The
-/// campaigns draw at most 4 and the tests run at most 8.
+/// campaigns draw at most 4; the simulator's differential matrix
+/// (tests/sim/sharded_differential_test.cc) runs this bound.
 inline constexpr uint64_t kMaxServers = 64;
 
 /// One "key value" line of a replay file: `write` gives the value of

@@ -46,8 +46,9 @@ struct AdmissionDecision {
 /// "ready-queue depth" bounds are expressible without new plumbing.
 ///
 /// Controllers are stateful (e.g. per-transaction defer budgets) and
-/// NOT thread-safe; the simulator constructs a fresh instance per run
-/// from SimOptions::admission, mirroring the PolicyFactory contract.
+/// NOT thread-safe; a simulator builds one instance from
+/// SimOptions::admission and re-binds it on every run, as it does the
+/// policy it runs.
 class AdmissionController {
  public:
   virtual ~AdmissionController() = default;
@@ -83,7 +84,9 @@ class AdmissionController {
  protected:
   AdmissionController() = default;
 
-  /// Clears per-run state. Called by Bind.
+  /// Restores the state the controller was constructed with. Called by
+  /// Bind: a simulator reuses one controller across its runs, so state a
+  /// Reset leaves behind would leak from one run into the next.
   virtual void Reset() {}
 
   const SimView& view() const {
@@ -95,9 +98,10 @@ class AdmissionController {
   const SimView* view_ = nullptr;
 };
 
-/// Creates a fresh controller per simulation run. Factories are invoked
-/// from sweep worker threads (one controller per run, never shared), so
-/// they must be thread-safe and deterministic.
+/// Creates the controller of one simulator (or executor), which re-binds
+/// it on every run. Factories are invoked from sweep worker threads (one
+/// controller per simulator, never shared), so they must be thread-safe
+/// and deterministic.
 using AdmissionFactory =
     std::function<std::unique_ptr<AdmissionController>()>;
 

@@ -156,31 +156,48 @@ class IndexedPriorityQueue {
     uint32_t slot;
   };
   /// Caller-owned scratch for AppendTopK; reuse it across calls so the
-  /// walk is allocation-free once warm (it never exceeds k + 1 entries).
+  /// walk is allocation-free once warm (it never exceeds 2k entries).
   using TopKScratch = std::vector<FrontierEntry>;
 
   /// Appends the queue's min(k, size) smallest ids to `out`, in exactly
   /// the (key, id) order k successive Pops would produce, WITHOUT
-  /// mutating the heap: a frontier min-heap over heap slots starts at
-  /// the root and expands children as slots are consumed, so the main
-  /// heap sees no sifts, no position updates, and no writes at all.
-  /// O(k log k) instead of the pop-k/push-k-back round trip.
+  /// mutating the heap. The frontier holds untaken heap slots whose
+  /// parents were taken, sorted least first in the window [head, size)
+  /// of `frontier`: a take reads the window's head, and the taken slot's
+  /// children are filed by insertion from the back. The window keeps at
+  /// most as many entries as takes are left — an entry behind that many
+  /// smaller ones can never be taken, nor can anything below it — so a
+  /// child that would fall past the end is dropped, and children go
+  /// unexpanded after the k-th take. A heap child usually ranks behind
+  /// most of the frontier, so filing from the back shifts few entries.
+  /// The main heap sees no sifts, no position updates and no writes.
   void AppendTopK(size_t k, std::vector<uint32_t>& out,
                   TopKScratch& frontier) const {
     frontier.clear();
     if (k == 0 || heap_.empty()) return;
     frontier.push_back(FrontierEntry{heap_[0].key, heap_[0].id, 0});
-    for (size_t taken = 0; taken < k && !frontier.empty(); ++taken) {
-      std::pop_heap(frontier.begin(), frontier.end(), FrontierAfter);
-      const FrontierEntry next = frontier.back();
-      frontier.pop_back();
-      out.push_back(next.id);
-      const size_t left = 2 * static_cast<size_t>(next.slot) + 1;
-      for (size_t child = left; child < left + 2 && child < heap_.size();
+    size_t head = 0;
+    for (size_t left = k; left > 0 && head < frontier.size();) {
+      const size_t first_child =
+          2 * static_cast<size_t>(frontier[head].slot) + 1;
+      out.push_back(frontier[head].id);
+      ++head;
+      --left;
+      for (size_t child = first_child;
+           left > 0 && child < first_child + 2 && child < heap_.size();
            ++child) {
-        frontier.push_back(FrontierEntry{heap_[child].key, heap_[child].id,
-                                         static_cast<uint32_t>(child)});
-        std::push_heap(frontier.begin(), frontier.end(), FrontierAfter);
+        const FrontierEntry e{heap_[child].key, heap_[child].id,
+                              static_cast<uint32_t>(child)};
+        if (frontier.size() - head == left) {
+          if (!PopsBefore(e, frontier.back())) continue;
+          frontier.pop_back();
+        }
+        frontier.push_back(e);
+        size_t i = frontier.size() - 1;
+        for (; i > head && PopsBefore(e, frontier[i - 1]); --i) {
+          frontier[i] = frontier[i - 1];
+        }
+        frontier[i] = e;
       }
     }
   }
@@ -197,11 +214,9 @@ class IndexedPriorityQueue {
     return a.id < b.id;
   }
 
-  /// std::push_heap/pop_heap build a max-heap under the comparator, so
-  /// "a pops after b" puts the smallest (key, id) on top.
-  static bool FrontierAfter(const FrontierEntry& a, const FrontierEntry& b) {
-    if (a.key != b.key) return a.key > b.key;
-    return a.id > b.id;
+  static bool PopsBefore(const FrontierEntry& a, const FrontierEntry& b) {
+    if (a.key != b.key) return a.key < b.key;
+    return a.id < b.id;
   }
 
   void SwapEntries(size_t i, size_t j) {

@@ -47,6 +47,12 @@ class PendingQueue {
 /// Run to exactly the value its former local had, so results are
 /// byte-identical to the per-call layout.
 struct Simulator::RunScratch {
+  /// One pick of the k-server round and its slot in the policy's order.
+  struct PickSlot {
+    TxnId id;
+    uint32_t slot;
+  };
+
   std::vector<TxnOutcome> outcomes;
   std::vector<FaultStream> fault_streams;
   std::vector<SimTime> fault_time;
@@ -58,11 +64,8 @@ struct Simulator::RunScratch {
   std::vector<ScheduleSegment> schedule;
   PendingQueue pending;
   std::vector<TxnId> picks;
-  std::vector<TxnId> next_running;
-  std::vector<char> pick_taken;
+  std::vector<PickSlot> picks_by_id;
   std::vector<std::pair<TxnId, TxnFate>> resolve_stack;
-  std::vector<uint64_t> pick_stamp;
-  std::vector<uint32_t> pick_slot;
   std::vector<OutageWindow> outages;
   std::vector<OutageWindow> crashes;
 };
@@ -179,11 +182,11 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   policy.Bind(*this);
   WEBTX_CHECK_GE(options_.num_servers, 1u);
 
-  std::unique_ptr<AdmissionController> admission;
-  if (options_.admission) {
-    admission = options_.admission();
-    admission->Bind(*this);
-  }
+  // One controller per Simulator, built on the first run that needs it;
+  // Bind resets it to its constructed state for every run.
+  if (options_.admission && !admission_) admission_ = options_.admission();
+  AdmissionController* const admission = admission_.get();
+  if (admission) admission->Bind(*this);
 
   const std::vector<TransactionSpec>& specs = workload_->specs();
   const DependencyGraph& graph = workload_->graph();
@@ -291,24 +294,12 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   std::vector<TxnId>& picks = sc.picks;
   picks.clear();
   picks.reserve(k);
-  std::vector<TxnId>& next_running = sc.next_running;
-  next_running.assign(k, kInvalidTxn);
-  std::vector<char>& pick_taken = sc.pick_taken;
-  pick_taken.clear();
-  pick_taken.reserve(k);
+  std::vector<RunScratch::PickSlot>& picks_by_id = sc.picks_by_id;
+  picks_by_id.clear();
+  picks_by_id.reserve(k);
   std::vector<std::pair<TxnId, TxnFate>>& resolve_stack = sc.resolve_stack;
   resolve_stack.clear();
   resolve_stack.reserve(n);
-  // Epoch-stamped pick-assignment lookup: a stamp equal to the current
-  // scheduling round marks "picked this round" without any clearing
-  // between rounds. Replaces the pre-shard O(k^2) std::find matching of
-  // picks to servers with O(k). The stamps MUST be zeroed per run — the
-  // round counter restarts at 1 every run, so a stale stamp from a
-  // previous run would alias a fresh round.
-  std::vector<uint64_t>& pick_stamp = sc.pick_stamp;
-  pick_stamp.assign(n, 0);
-  std::vector<uint32_t>& pick_slot = sc.pick_slot;
-  pick_slot.assign(n, 0);
   SimTime now = 0.0;
   size_t scheduling_points = 0;
   size_t preemptions = 0;
@@ -712,14 +703,10 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
     WEBTX_CHECK(picks.size() <= k_up)
         << "policy " << policy.name() << " picked " << picks.size()
         << " transactions for " << k_up << " servers at t=" << now;
-    for (size_t p = 0; p < picks.size(); ++p) {
-      WEBTX_CHECK(IsReady(picks[p]))
-          << "policy " << policy.name() << " picked non-ready T" << picks[p]
+    for (const TxnId pick : picks) {
+      WEBTX_CHECK(IsReady(pick))
+          << "policy " << policy.name() << " picked non-ready T" << pick
           << " at t=" << now;
-      WEBTX_DCHECK(std::find(picks.begin(), picks.begin() + p, picks[p]) ==
-                   picks.begin() + p)
-          << "policy " << policy.name() << " picked T" << picks[p]
-          << " twice";
     }
     if (picks.size() < k_up) {
       WEBTX_CHECK_EQ(picks.size(),
@@ -730,61 +717,61 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
     if (picks.empty() && k_up > 0) ++idle_decisions;
 
     // Assign picks to servers, keeping continuing transactions in
-    // place. The epoch-stamped lookup (stamp == this round means
-    // "picked this round") makes the barrier step over shard heads O(k)
-    // where the pre-shard simulator paid O(k^2) in std::find scans; the
-    // picks being distinct and the running transactions being distinct
-    // makes it decision-identical.
-    const uint64_t round = static_cast<uint64_t>(scheduling_points);
+    // place. Each running transaction finds its own slot among the picks
+    // by binary search over the picks sorted by id, so the round costs
+    // O(k log k) with no per-transaction state; a placed pick is struck
+    // from `picks` and the fill below skips it. The picks being distinct
+    // and the running transactions being distinct makes the matching
+    // decision-identical to the pre-shard O(k^2) std::find scans.
+    picks_by_id.clear();
     for (size_t p = 0; p < picks.size(); ++p) {
-      pick_stamp[picks[p]] = round;
-      pick_slot[picks[p]] = static_cast<uint32_t>(p);
+      picks_by_id.push_back(
+          RunScratch::PickSlot{picks[p], static_cast<uint32_t>(p)});
     }
-    next_running.assign(k, kInvalidTxn);
-    pick_taken.assign(picks.size(), 0);
+    const auto by_id = [](const RunScratch::PickSlot& a,
+                          const RunScratch::PickSlot& b) {
+      return a.id < b.id;
+    };
+    std::sort(picks_by_id.begin(), picks_by_id.end(), by_id);
+    for (size_t p = 1; p < picks_by_id.size(); ++p) {
+      WEBTX_DCHECK(picks_by_id[p - 1].id != picks_by_id[p].id)
+          << "policy " << policy.name() << " picked T" << picks_by_id[p].id
+          << " twice";
+    }
+    // A running transaction that is picked keeps its server.
     for (size_t s = 0; s < k; ++s) {
       const TxnId r = running[s];
       if (r == kInvalidTxn) continue;
-      if (pick_stamp[r] == round && !pick_taken[pick_slot[r]]) {
-        next_running[s] = r;
-        pick_taken[pick_slot[r]] = 1;
-      } else if (true_remaining_[r] <= kTimeEpsilon ||
-                 dispatch_time[s] + true_remaining_[r] <= now) {
+      const auto it =
+          std::lower_bound(picks_by_id.begin(), picks_by_id.end(),
+                           RunScratch::PickSlot{r, 0}, by_id);
+      if (it != picks_by_id.end() && it->id == r) {
+        picks[it->slot] = kInvalidTxn;
+        continue;
+      }
+      if (true_remaining_[r] <= kTimeEpsilon ||
+          dispatch_time[s] + true_remaining_[r] <= now) {
         // Simultaneous completions are handled one per scheduling
         // point; a transaction whose work is already done keeps its
         // server, whatever it ranks, so its completion fires at this
         // instant instead of whenever it would next be dispatched. A
         // pick left over waits for that completion's round.
-        next_running[s] = r;
+        continue;
       }
+      if (!finished_[r]) ++preemptions;
+      close_segment(s, now);
+      running[s] = kInvalidTxn;
     }
-    {
-      size_t p = 0;
-      for (size_t s = 0; s < k; ++s) {
-        if (next_running[s] != kInvalidTxn) continue;
-        if (faults && down[s]) continue;
-        while (p < picks.size() && pick_taken[p]) ++p;
-        if (p >= picks.size()) break;
-        next_running[s] = picks[p];
-        pick_taken[p] = 1;
-      }
-    }
-    // A running transaction placed this round is always kept on its own
-    // server (a running pick, or one the done-work rule holds), so it is
-    // preempted exactly when its server's next slot differs.
+    // The picks not already running fill the free up servers in pick
+    // order, lowest server first.
+    size_t p = 0;
     for (size_t s = 0; s < k; ++s) {
-      if (running[s] != kInvalidTxn && !finished_[running[s]] &&
-          next_running[s] != running[s]) {
-        ++preemptions;
-      }
-      if (next_running[s] != running[s]) {
-        if (running[s] != kInvalidTxn) close_segment(s, now);
-        if (next_running[s] != kInvalidTxn) {
-          dispatch_time[s] = now + options_.context_switch_cost;
-          segment_start[s] = dispatch_time[s];
-        }
-      }
-      running[s] = next_running[s];
+      if (running[s] != kInvalidTxn || (faults && down[s])) continue;
+      while (p < picks.size() && picks[p] == kInvalidTxn) ++p;
+      if (p == picks.size()) break;
+      running[s] = picks[p++];
+      dispatch_time[s] = now + options_.context_switch_cost;
+      segment_start[s] = dispatch_time[s];
     }
   }
 

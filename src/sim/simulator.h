@@ -110,7 +110,8 @@ struct SimOptions {
   RetryOptions retry;
   /// Admission controller factory consulted at every arrival, before the
   /// scheduling policy learns of the transaction; null admits everything.
-  /// A fresh controller is constructed per Run.
+  /// A Simulator builds one controller, on its first Run, and re-binds it
+  /// on every Run (Bind resets it to its constructed state).
   AdmissionFactory admission;
 };
 
@@ -303,6 +304,9 @@ class Simulator final : public SimView {
   std::vector<TxnId> ready_list_;
   std::vector<size_t> ready_pos_;  // TxnId -> index in ready_list_
   size_t num_up_ = 1;  // servers outside outage/crash windows (this run)
+
+  /// Built from options_.admission on the first Run, re-bound every Run.
+  std::unique_ptr<AdmissionController> admission_;
 
   /// Per-run scratch (outcomes, fault streams, pending queue, the
   /// scheduling round's pick/assignment buffers), lazily built on the

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "exp/chaos.h"
 #include "sched/policies/single_queue_policies.h"
+#include "sched/policy_factory.h"
 #include "sim/simulator.h"
 #include "testing/fake_view.h"
+#include "workload/generator.h"
 
 namespace webtx {
 namespace {
@@ -405,6 +411,65 @@ TEST(BrownoutAdmissionTest, CapacitySloZeroDisablesTheCrashSignal) {
   brownout.Bind(view);
   EXPECT_EQ(brownout.Decide(0, 0.0).action,
             AdmissionDecision::Action::kAdmit);
+}
+
+// ---------------------------------------------------------------------------
+// A Simulator builds its controller once and re-binds it on every run, so
+// Reset must restore the constructed state: runs back to back on one
+// simulator, under different policies, match runs on fresh simulators.
+// The overloaded input makes every controller act (defer budgets spent,
+// the brownout breaker tripped and left half-open), so any state that
+// survived Bind would show up in the next run's digest.
+
+TEST(AdmissionControllerTest, ReusedControllerRunsMatchFreshSimulators) {
+  WorkloadSpec spec;
+  spec.num_transactions = 300;
+  spec.utilization = 2.5;
+  spec.max_weight = 20;
+  spec.max_workflow_length = 3;
+  auto generator = WorkloadGenerator::Create(spec);
+  ASSERT_TRUE(generator.ok()) << generator.status();
+  const std::vector<TransactionSpec> txns =
+      generator.ValueOrDie().Generate(/*seed=*/17);
+
+  QueueDepthAdmissionOptions depth;
+  depth.max_ready = 6;
+  depth.defer_delay = 1.5;
+  depth.max_defers = 2;
+  BrownoutAdmissionOptions brownout;
+  brownout.depth_slo = 1.5;
+  const std::pair<std::string, AdmissionFactory> controllers[] = {
+      {"queue-depth", MakeQueueDepthAdmission(depth)},
+      {"brownout", MakeBrownoutAdmission(brownout)},
+      {"feasibility", MakeFeasibilityAdmission()},
+  };
+  const char* const policies[] = {"EDF", "SRPT", "ASETS*", "FCFS", "EDF"};
+  for (const size_t servers : {1u, 2u}) {
+    for (const auto& [name, factory] : controllers) {
+      SimOptions options;
+      options.num_servers = servers;
+      options.record_schedule = true;
+      options.admission = factory;
+      auto reused = Simulator::Create(txns, options);
+      ASSERT_TRUE(reused.ok()) << reused.status();
+      size_t acted = 0;
+      for (const char* policy_spec : policies) {
+        SCOPED_TRACE(name + " servers=" + std::to_string(servers) +
+                     " policy=" + policy_spec);
+        auto policy = CreatePolicy(policy_spec);
+        ASSERT_TRUE(policy.ok()) << policy.status();
+        const RunResult got = reused.ValueOrDie().Run(*policy.ValueOrDie());
+        auto fresh = Simulator::Create(txns, options);
+        ASSERT_TRUE(fresh.ok()) << fresh.status();
+        const RunResult want = fresh.ValueOrDie().Run(*policy.ValueOrDie());
+        EXPECT_EQ(ScheduleDigest(got), ScheduleDigest(want));
+        EXPECT_EQ(got.num_shed, want.num_shed);
+        EXPECT_EQ(got.num_deferrals, want.num_deferrals);
+        acted += got.num_shed + got.num_deferrals;
+      }
+      EXPECT_GT(acted, 0u) << name << " never acted on the overloaded input";
+    }
+  }
 }
 
 }  // namespace

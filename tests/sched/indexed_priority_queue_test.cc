@@ -248,5 +248,56 @@ TEST(IndexedPriorityQueueTest, ReservePreservesContents) {
   EXPECT_EQ(q.Pop(), 2u);
 }
 
+// AppendTopK is a read-only walk that must hand back exactly what k
+// successive Pops would: for every k from 0 past the size (and 64), on
+// heaps with duplicate keys and on heaps reshaped by Erase/Update churn,
+// appending after whatever `out` already holds and leaving the queue
+// unchanged. One scratch frontier serves every call.
+TEST(IndexedPriorityQueueTest, AppendTopKMatchesSuccessivePops) {
+  Rng rng(2028);
+  IndexedPriorityQueue::TopKScratch frontier;
+  for (int trial = 0; trial < 80; ++trial) {
+    const auto n = static_cast<uint32_t>(
+        trial < 12 ? trial : rng.NextInRange(0, 300));
+    IndexedPriorityQueue q;
+    for (uint32_t id = 0; id < n; ++id) {
+      // Few distinct keys: ties must still come out lowest id first.
+      q.Push(id, std::floor(rng.NextDouble() * 8.0));
+    }
+    if (trial % 2 == 1) {
+      for (uint32_t i = 0; i < n; ++i) {
+        const auto id = static_cast<uint32_t>(rng.NextInRange(0, n - 1));
+        if (!q.Contains(id)) {
+          q.Push(id, std::floor(rng.NextDouble() * 8.0));
+        } else if (rng.NextDouble() < 0.5) {
+          q.Erase(id);
+        } else {
+          q.Update(id, std::floor(rng.NextDouble() * 8.0));
+        }
+      }
+    }
+    // The pop order of a copy; k Pops return its first min(k, size).
+    std::vector<uint32_t> pops;
+    IndexedPriorityQueue copy = q;
+    while (!copy.empty()) pops.push_back(copy.Pop());
+
+    std::vector<size_t> ks;
+    for (size_t k = 0; k <= q.size() + 2; ++k) ks.push_back(k);
+    ks.push_back(64);
+    for (const size_t k : ks) {
+      constexpr uint32_t kSentinel = 0xFEEDu;
+      std::vector<uint32_t> out = {kSentinel};
+      q.AppendTopK(k, out, frontier);
+      const size_t taken = std::min(k, pops.size());
+      ASSERT_EQ(out.size(), 1 + taken) << "trial=" << trial << " k=" << k;
+      EXPECT_EQ(out[0], kSentinel);
+      EXPECT_TRUE(std::equal(out.begin() + 1, out.end(), pops.begin()))
+          << "trial=" << trial << " k=" << k;
+    }
+    ASSERT_EQ(q.size(), pops.size());
+    for (const uint32_t id : pops) ASSERT_EQ(q.Pop(), id);
+  }
+}
+
 }  // namespace
 }  // namespace webtx

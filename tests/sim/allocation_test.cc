@@ -297,12 +297,12 @@ TEST(AllocationTest, PreReservedIndexedQueueStormAllocatesNothing) {
 }
 
 // The twin's forecast hot path: once the engine is warm (buffers,
-// shared workload arenas, per-candidate simulator scratch all at
-// capacity), a steady-state control tick performs ZERO allocations in
-// the serial configuration. Admission-free candidates only: the
-// admission factories construct a fresh controller per shadow run by
-// design, and the parallel fan-out pays one packaged_task per helper —
-// both are outside the zero-alloc contract.
+// shared workload arenas, per-candidate simulator scratch and admission
+// controllers all at capacity), a steady-state control tick performs
+// ZERO allocations in the serial configuration, admission candidates
+// included: each shadow simulator builds its controller once and
+// re-binds it every run. The parallel fan-out pays one packaged_task
+// per helper, which is outside the zero-alloc contract.
 TEST(AllocationTest, TwinForecastSteadyStateAllocatesNothing) {
   if (!WEBTX_ALLOC_COUNTING) {
     GTEST_SKIP() << "allocation counting disabled under sanitizers";
@@ -313,7 +313,15 @@ TEST(AllocationTest, TwinForecastSteadyStateAllocatesNothing) {
   edf.policy = "EDF";
   rt::TwinCandidate srpt;
   srpt.policy = "SRPT";
-  options.candidates = {fcfs, edf, srpt};
+  rt::TwinCandidate depth;
+  depth.policy = "EDF";
+  depth.admission = rt::TwinCandidate::Admission::kQueueDepth;
+  depth.max_ready = 8;
+  rt::TwinCandidate brownout;
+  brownout.policy = "SRPT";
+  brownout.admission = rt::TwinCandidate::Admission::kBrownout;
+  brownout.capacity_slo = 0.5;
+  options.candidates = {fcfs, edf, srpt, depth, brownout};
   options.control_interval = 0.25;
   options.forecast_horizon = 0.5;
   auto engine = rt::TwinForecastEngine::Create(options);

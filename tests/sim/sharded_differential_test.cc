@@ -24,7 +24,9 @@
 namespace webtx {
 namespace {
 
-constexpr size_t kServers[] = {1, 2, 4, 8};
+// 64 is kMaxServers (exp/campaign.h), the largest pool a replay may ask
+// for.
+constexpr size_t kServers[] = {1, 2, 4, 8, 64};
 
 // The matrix inputs. kOverloaded has deep ready sets with workflow
 // chains: every multi-server round ranks more ready transactions than

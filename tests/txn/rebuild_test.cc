@@ -7,6 +7,7 @@
 // ids) layout from an earlier, larger or differently shaped set are
 // what this catches. Invalid sets in the sequence must fail with
 // Build's error and leave the objects rebuildable.
+#include <algorithm>
 #include <iterator>
 #include <string>
 #include <utility>
@@ -241,6 +242,53 @@ TEST(InPlaceRebuildTest, MatchesFreshBuild) {
   }
   EXPECT_GE(invalid, 2u);
   EXPECT_GT(valid, 20u);
+}
+
+// The arrival order is a stable sort of the ids by arrival, whether the
+// arrivals already ascend by id (the sort is skipped), ascend with ties,
+// or are out of order — including a single inversion at either end,
+// which the in-order check must not miss. Rebuilt in place through the
+// rows, so an order left by an earlier row cannot leak into a later one.
+TEST(InPlaceRebuildTest, ArrivalOrderIsAStableSortByArrival) {
+  Rng rng(28);
+  std::vector<std::pair<std::string, std::vector<SimTime>>> rows = {
+      {"empty", {}},
+      {"single", {3.0}},
+      {"ascending", {0.0, 0.5, 1.0, 2.5, 4.0, 7.0}},
+      {"ascending with ties", {0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 5.0, 5.0}},
+      {"all tied", {2.0, 2.0, 2.0, 2.0}},
+      {"last out of order", {0.0, 1.0, 2.0, 3.0, 4.0, 0.5}},
+      {"first out of order", {9.0, 1.0, 2.0, 3.0, 4.0, 5.0}},
+      {"descending", {6.0, 5.0, 5.0, 3.0, 1.0, 0.0}},
+  };
+  for (int i = 0; i < 6; ++i) {
+    std::vector<SimTime> arrivals(rng.NextInRange(2, 400));
+    for (SimTime& a : arrivals) {
+      a = static_cast<SimTime>(rng.NextInRange(0, 30));
+    }
+    if (i % 2 == 0) std::sort(arrivals.begin(), arrivals.end());
+    rows.emplace_back(i % 2 == 0 ? "random, sorted" : "random", arrivals);
+  }
+  SimWorkload workload;
+  for (const auto& [name, arrivals] : rows) {
+    SCOPED_TRACE(name);
+    std::vector<TransactionSpec> txns;
+    for (size_t id = 0; id < arrivals.size(); ++id) {
+      txns.push_back(Txn(static_cast<TxnId>(id), arrivals[id], 1.0, 100.0));
+    }
+    std::vector<TxnId> want(txns.size());
+    for (size_t id = 0; id < want.size(); ++id) {
+      want[id] = static_cast<TxnId>(id);
+    }
+    std::stable_sort(want.begin(), want.end(), [&](TxnId a, TxnId b) {
+      return arrivals[a] < arrivals[b];
+    });
+    auto fresh = SimWorkload::Build(txns);
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    EXPECT_EQ(fresh.ValueOrDie().arrival_order(), want);
+    ASSERT_TRUE(workload.Rebuild(txns).ok());
+    EXPECT_EQ(workload.arrival_order(), want);
+  }
 }
 
 }  // namespace
