@@ -9,7 +9,9 @@
 // ASETS* on 4 servers with aborts + retries feeding the pending queue
 // and workflows feeding the dependency graph. Each run's schedule digest
 // is printed, so a change that moves behaviour at scale shows up next
-// to its cost. The 10^6-txn rate a change must hold is the repository
+// to its cost, and so is its set-up split: the seconds of Generate and
+// of Simulator::Create (with the copy of the specs it takes), fastest
+// rep. The 10^6-txn rate a change must hold is the repository
 // benchmark's huge_stream events_per_s (perfbench/), compared across
 // revisions by scripts/bench_ab.sh.
 //
@@ -42,6 +44,8 @@ double SecondsSince(Clock::time_point start) {
 
 struct EndToEnd {
   double events_per_sec = 0.0;
+  double generate_s = 0.0;
+  double create_s = 0.0;  // fastest rep
   uint64_t digest = 0;
   size_t events = 0;
 };
@@ -59,7 +63,10 @@ EndToEnd RunEndToEnd(size_t n) {
   spec.max_workflows_per_txn = 2;
   auto gen = WorkloadGenerator::Create(spec);
   WEBTX_CHECK(gen.ok()) << gen.status();
+  EndToEnd out;
+  const auto generate_start = Clock::now();
   const std::vector<TransactionSpec> txns = gen.ValueOrDie().Generate(2026);
+  out.generate_s = SecondsSince(generate_start);
 
   SimOptions options;
   options.num_servers = 4;
@@ -74,10 +81,12 @@ EndToEnd RunEndToEnd(size_t n) {
   options.retry.max_attempts = 3;
   options.retry.backoff = 1.0;
 
-  EndToEnd out;
   const int reps = n <= 100000 ? 3 : 1;  // big runs are deterministic
   for (int rep = 0; rep < reps; ++rep) {
+    const auto create_start = Clock::now();
     auto sim = Simulator::Create(txns, options);
+    const double create_s = SecondsSince(create_start);
+    out.create_s = rep == 0 ? create_s : std::min(out.create_s, create_s);
     WEBTX_CHECK(sim.ok()) << sim.status();
     auto policy = CreatePolicy("ASETS*");
     WEBTX_CHECK(policy.ok()) << policy.status();
@@ -107,8 +116,9 @@ int RunBench(bool smoke, bool pop7) {
     const std::string label = "e2e n=" + std::to_string(n) + suffix;
     const EndToEnd run = RunEndToEnd(n);
     std::cout << label << ": " << run.events_per_sec << " events/s, "
-              << run.events << " events, digest " << std::hex << run.digest
-              << std::dec << "\n";
+              << "generate " << run.generate_s << " s, create "
+              << run.create_s << " s, " << run.events << " events, digest "
+              << std::hex << run.digest << std::dec << "\n";
   }
   return 0;
 }

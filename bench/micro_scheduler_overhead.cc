@@ -5,7 +5,8 @@
 //
 // Benchmarks the full simulation cost per scheduling event as the number
 // of concurrently queued transactions grows, per policy and at 1, 2 and
-// 4 servers, plus raw IndexedPriorityQueue operations.
+// 4 servers, plus raw IndexedPriorityQueue operations and the in-place
+// rebuild of a simulator workload.
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +18,7 @@
 #include "common/rng.h"
 #include "sched/indexed_priority_queue.h"
 #include "sched/policy_factory.h"
+#include "sim/sim_workload.h"
 #include "sim/simulator.h"
 #include "workload/generator.h"
 
@@ -183,6 +185,46 @@ void BM_IndexedPqTopK(benchmark::State& state) {
 BENCHMARK(BM_IndexedPqTopK)
     ->ArgNames({"n", "k"})
     ->ArgsProduct({{64, 4096}, {1, 2, 4, 8, 32, 64}});
+
+// One in-place SimWorkload::Rebuild of 10^4 generated transactions with
+// batched workflow arrivals (validation, dependency graph, workflow
+// registry, arrival order), through one staging buffer refilled
+// untimed before each call, as the twin rebuilds every tick.
+// `reversed` hands the same set its arrivals in reverse id order,
+// which sends the arrival order past the insertion pass's budget to
+// std::sort.
+void BM_SimWorkloadRebuild(benchmark::State& state, bool reversed) {
+  WorkloadSpec spec;
+  spec.num_transactions = 10000;
+  spec.max_workflow_length = 4;
+  spec.max_workflows_per_txn = 2;
+  auto generator = WorkloadGenerator::Create(spec);
+  WEBTX_CHECK(generator.ok());
+  std::vector<TransactionSpec> txns = generator.ValueOrDie().Generate(29);
+  if (reversed) {
+    const size_t n = txns.size();
+    for (size_t i = 0; i < n / 2; ++i) {
+      std::swap(txns[i].arrival, txns[n - 1 - i].arrival);
+    }
+  }
+  SimWorkload workload;
+  std::vector<TransactionSpec> staging = txns;
+  WEBTX_CHECK(workload.Rebuild(staging).ok());
+  for (auto _ : state) {
+    state.PauseTiming();
+    staging = txns;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(workload.Rebuild(staging).ok());
+    benchmark::DoNotOptimize(workload.arrival_order().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(txns.size()));
+}
+BENCHMARK_CAPTURE(BM_SimWorkloadRebuild, batched, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SimWorkloadRebuild, reversed, true)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace webtx

@@ -101,7 +101,7 @@ bench_smoke() {
   ./build-release/bench/ext_huge_scale --smoke
   ./build-release/bench/micro_scheduler_overhead \
     --benchmark_min_time=0.01 \
-    --benchmark_filter='BM_PolicyEventCost.*/256$|BM_IndexedPq.*/64$|BM_IndexedPqTopK/n:64/k:2$'
+    --benchmark_filter='BM_PolicyEventCost.*/256$|BM_IndexedPq.*/64$|BM_IndexedPqTopK/n:64/k:2$|BM_SimWorkloadRebuild/batched$'
   echo "==> perfbench self-test"
   python3 perfbench/run.py --selftest
 }

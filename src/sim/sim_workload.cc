@@ -1,8 +1,9 @@
 #include "sim/sim_workload.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
+
+#include "common/adaptive_sort.h"
 
 namespace webtx {
 
@@ -44,19 +45,17 @@ Status SimWorkload::Rebuild(std::vector<TransactionSpec>& txns) {
     arrival_order_[i] = static_cast<TxnId>(i);
   }
   // Arrivals are finite, so (arrival, id) is a strict total order and
-  // plain sort yields exactly the stable-sort result without its
-  // temporary buffer. Arrivals that already ascend by id (every
-  // generated set with one workflow per transaction) leave the identity
-  // in order, and the check stops at the first inversion otherwise.
-  const auto before = [this](TxnId a, TxnId b) {
-    if (specs_[a].arrival != specs_[b].arrival) {
-      return specs_[a].arrival < specs_[b].arrival;
-    }
-    return a < b;
-  };
-  if (!std::is_sorted(arrival_order_.begin(), arrival_order_.end(), before)) {
-    std::sort(arrival_order_.begin(), arrival_order_.end(), before);
-  }
+  // any sort yields exactly the stable-sort result. A generated set
+  // submits each workflow member when its page was requested, which
+  // puts it only a few places ahead of its id, so the identity is
+  // nearly in order and the insertion pass finishes in linear time.
+  AdaptiveSort(arrival_order_.begin(), arrival_order_.end(),
+               [this](TxnId a, TxnId b) {
+                 if (specs_[a].arrival != specs_[b].arrival) {
+                   return specs_[a].arrival < specs_[b].arrival;
+                 }
+                 return a < b;
+               });
   return Status::OK();
 }
 

@@ -24,6 +24,10 @@ namespace webtx {
 /// storage from the previous build (zero steady-state allocations once
 /// every flat array has seen an equal-or-larger spec set).
 ///
+/// The arrival order is sorted by AdaptiveSort (common/adaptive_sort.h):
+/// linear on nearly sorted arrivals, which generated and twin sets have,
+/// and O(n log n) on any other.
+///
 /// Thread safety: const access is safe from any number of threads (the
 /// parallel forecast fan-out reads one workload from all candidate
 /// sims); `Rebuild` must be externally quiesced.

@@ -7,10 +7,12 @@
 #include <string>
 #include <utility>
 
+#include "common/adaptive_sort.h"
+
 namespace webtx {
 
 namespace {
-constexpr size_t kNoReadyPos = std::numeric_limits<size_t>::max();
+constexpr uint32_t kNoReadyPos = std::numeric_limits<uint32_t>::max();
 constexpr SimTime kNever = std::numeric_limits<SimTime>::infinity();
 // Floor for the policy-visible remaining time of a transaction that
 // overran its estimate; keeps priority keys (r, r/w, d - r) sane.
@@ -158,12 +160,12 @@ void Simulator::ResetRuntimeState() {
 
 void Simulator::ReadyListAdd(TxnId id) {
   WEBTX_DCHECK(ready_pos_[id] == kNoReadyPos);
-  ready_pos_[id] = ready_list_.size();
+  ready_pos_[id] = static_cast<uint32_t>(ready_list_.size());
   ready_list_.push_back(id);
 }
 
 void Simulator::ReadyListRemove(TxnId id) {
-  const size_t pos = ready_pos_[id];
+  const uint32_t pos = ready_pos_[id];
   WEBTX_DCHECK(pos != kNoReadyPos);
   const TxnId moved = ready_list_.back();
   ready_list_[pos] = moved;
@@ -797,11 +799,15 @@ RunResult Simulator::Run(SchedulerPolicy& policy) {
   result.total_repair_time = total_repair_time;
   result.crashes = std::move(crashes);
   if (options_.record_schedule) {
-    std::sort(schedule.begin(), schedule.end(),
-              [](const ScheduleSegment& a, const ScheduleSegment& b) {
-                if (a.start != b.start) return a.start < b.start;
-                return a.server < b.server;
-              });
+    // A server's segments start at strictly increasing instants, so
+    // (start, server) is unique per segment. Segments are appended as
+    // they close, nearly in start order, so the insertion pass of
+    // AdaptiveSort finishes in linear time.
+    AdaptiveSort(schedule.begin(), schedule.end(),
+                 [](const ScheduleSegment& a, const ScheduleSegment& b) {
+                   if (a.start != b.start) return a.start < b.start;
+                   return a.server < b.server;
+                 });
     result.schedule = std::move(schedule);
   }
   return result;

@@ -302,7 +302,7 @@ class Simulator final : public SimView {
   std::vector<char> suspended_;  // aborted, awaiting retry backoff
   std::vector<uint32_t> unmet_deps_;
   std::vector<TxnId> ready_list_;
-  std::vector<size_t> ready_pos_;  // TxnId -> index in ready_list_
+  std::vector<uint32_t> ready_pos_;  // TxnId -> index in ready_list_
   size_t num_up_ = 1;  // servers outside outage/crash windows (this run)
 
   /// Built from options_.admission on the first Run, re-bound every Run.

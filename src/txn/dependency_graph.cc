@@ -23,6 +23,9 @@ Status DependencyGraph::Rebuild(const std::vector<TransactionSpec>& txns) {
   pred_offsets_[0] = 0;
   // succ_offsets_[d] counts d's successors until the fill below.
   succ_offsets_.assign(n + 1, 0);
+  // Stays true while every dependency names a lower id; id order is then
+  // a topological order, so the set is acyclic.
+  bool id_ordered = true;
 
   for (size_t i = 0; i < n; ++i) {
     if (txns[i].id != static_cast<TxnId>(i)) {
@@ -53,6 +56,8 @@ Status DependencyGraph::Rebuild(const std::vector<TransactionSpec>& txns) {
       }
       ++succ_offsets_[d];
     }
+    // The row ascends, so its last entry is its highest id.
+    if (pred_ids_.size() > begin && pred_ids_.back() > i) id_ordered = false;
     pred_offsets_[i + 1] = pred_ids_.size();
   }
 
@@ -69,23 +74,25 @@ Status DependencyGraph::Rebuild(const std::vector<TransactionSpec>& txns) {
     }
   }
 
-  // Kahn's algorithm: topological order doubling as cycle detection. The
-  // output array itself serves as the FIFO frontier (head index walk), which
-  // visits nodes in exactly the order a queue would while reusing topo_'s
-  // storage.
-  indeg_.resize(n);
-  topo_.clear();
-  topo_.reserve(n);
+  if (id_ordered) return Status::OK();
+
+  // Kahn's algorithm as cycle detection: the order array itself serves
+  // as the FIFO frontier (head index walk), and it reaches every
+  // transaction only when no cycle holds one back.
+  kahn_unmet_.resize(n);
+  kahn_order_.clear();
+  kahn_order_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    indeg_[i] = pred_offsets_[i + 1] - pred_offsets_[i];
-    if (indeg_[i] == 0) topo_.push_back(static_cast<TxnId>(i));
+    kahn_unmet_[i] =
+        static_cast<uint32_t>(pred_offsets_[i + 1] - pred_offsets_[i]);
+    if (kahn_unmet_[i] == 0) kahn_order_.push_back(static_cast<TxnId>(i));
   }
-  for (size_t head = 0; head < topo_.size(); ++head) {
-    for (const TxnId v : successors(topo_[head])) {
-      if (--indeg_[v] == 0) topo_.push_back(v);
+  for (size_t head = 0; head < kahn_order_.size(); ++head) {
+    for (const TxnId v : successors(kahn_order_[head])) {
+      if (--kahn_unmet_[v] == 0) kahn_order_.push_back(v);
     }
   }
-  if (topo_.size() != n) {
+  if (kahn_order_.size() != n) {
     return Status::InvalidArgument(
         "dependency lists contain a cycle; workflows must be acyclic");
   }

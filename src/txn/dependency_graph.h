@@ -2,6 +2,7 @@
 #define WEBTX_TXN_DEPENDENCY_GRAPH_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/result.h"
@@ -52,6 +53,11 @@ IdRange<Id> CsrRow(const std::vector<size_t>& offsets,
 /// dependency list (T_x -> T_y), then `successors(x)` contains y and
 /// `predecessors(y)` contains x. The graph must be acyclic; `Build`
 /// validates ids, rejects self-dependencies, duplicate edges, and cycles.
+/// No topological order is stored. When every dependency names a lower
+/// id, as in every generated, live and twin set, id order is one and the
+/// set is acyclic without further work; only a set with a dependency on
+/// a higher id (a trace can have one) runs Kahn's pass to look for a
+/// cycle.
 ///
 /// Layout: compressed sparse rows. Each direction is one offsets array
 /// (n + 1 entries) plus one flat id array holding every edge, so
@@ -70,16 +76,18 @@ class DependencyGraph {
       const std::vector<TransactionSpec>& txns);
 
   /// Rebuilds this graph in place from a new transaction set, reusing the
-  /// edge, offset and topological-order storage from the previous build
-  /// (no allocations once the graph has seen an equal-or-larger set).
+  /// edge, offset and cycle-check storage from the previous build (no
+  /// allocations once the graph has seen an equal-or-larger set).
   /// Produces exactly the structure `Build` would. Validates in one pass
   /// in id order, so a malformed set reports the error of its lowest
   /// offending id. On error the graph is left in an unspecified state and
   /// must be rebuilt before use.
   Status Rebuild(const std::vector<TransactionSpec>& txns);
 
-  /// The topological order lists every transaction once.
-  size_t num_transactions() const { return topo_.size(); }
+  /// One predecessor row per transaction, behind the leading 0 offset.
+  size_t num_transactions() const {
+    return pred_offsets_.empty() ? 0 : pred_offsets_.size() - 1;
+  }
 
   /// Direct predecessors (the dependency list), ascending.
   IdRange<TxnId> predecessors(TxnId id) const {
@@ -105,9 +113,6 @@ class DependencyGraph {
   /// All roots, ascending by id.
   std::vector<TxnId> Roots() const;
 
-  /// A topological order (predecessors before dependents).
-  const std::vector<TxnId>& TopologicalOrder() const { return topo_; }
-
   /// Total number of precedence edges.
   size_t num_edges() const { return pred_ids_.size(); }
 
@@ -116,9 +121,11 @@ class DependencyGraph {
   std::vector<TxnId> pred_ids_;
   std::vector<size_t> succ_offsets_;
   std::vector<TxnId> succ_ids_;
-  std::vector<TxnId> topo_;
-  /// Kahn scratch, retained across `Rebuild` calls.
-  std::vector<size_t> indeg_;
+  /// Kahn scratch for a set with a dependency on a higher id, retained
+  /// across `Rebuild` calls: unmet predecessor counts, and the order
+  /// found so far, which doubles as the FIFO frontier.
+  std::vector<uint32_t> kahn_unmet_;
+  std::vector<TxnId> kahn_order_;
 };
 
 }  // namespace webtx

@@ -43,21 +43,21 @@ std::vector<TransactionSpec> WorkloadGenerator::Generate(uint64_t seed) const {
   const UniformIntDistribution chains_per_txn_dist(
       1, static_cast<uint64_t>(spec_.max_workflows_per_txn));
 
-  // Pass 1: lengths, raw arrival instants, slack factors, weights.
-  // Estimates draw from an independent stream so the base workload is
-  // bit-identical across estimate_error settings (an error sweep then
-  // isolates the estimation effect).
+  // Pass 1: lengths, raw arrival instants, slack factors, weights. The
+  // slack factor k_i waits in `deadline` until pass 2 knows the earliest
+  // finish. Estimates draw from an independent stream so the base
+  // workload is bit-identical across estimate_error settings (an error
+  // sweep then isolates the estimation effect).
   Rng estimate_rng(seed ^ 0x9e3779b97f4a7c15ULL);
   const UniformRealDistribution estimate_factor(1.0 - spec_.estimate_error,
                                                 1.0 + spec_.estimate_error);
-  std::vector<double> slack_factors(n);
   for (size_t i = 0; i < n; ++i) {
     TransactionSpec& t = txns[i];
     t.id = static_cast<TxnId>(i);
     t.length = static_cast<SimTime>(spec_.min_length - 1 +
                                     length_dist.Sample(rng));
     t.arrival = arrivals->Next(rng);
-    slack_factors[i] = slack_factor.Sample(rng);
+    t.deadline = slack_factor.Sample(rng);
     t.weight = static_cast<double>(weight_dist.Sample(rng));
     if (spec_.estimate_error > 0.0) {
       t.length_estimate =
@@ -65,14 +65,15 @@ std::vector<TransactionSpec> WorkloadGenerator::Generate(uint64_t seed) const {
     }
   }
 
-  // Pass 2: workflow topology. Chains are built in arrival order; with
-  // max_workflow_length == 1 every chain closes at its first member, so
-  // all transactions stay independent. Edges always point from earlier to
-  // later transactions, hence acyclic by construction.
+  // Pass 2: workflow topology and deadlines. Chains are built in arrival
+  // order; with max_workflow_length == 1 every chain closes at its first
+  // member, so all transactions stay independent. Edges always point
+  // from earlier to later transactions, hence acyclic by construction.
   std::vector<OpenChain> open;
   std::vector<size_t> joined;  // indices into `open` chosen for this txn
-  std::vector<SimTime> earliest_finish(n);
+  std::vector<TxnId> tails;    // the joined chains' last members
   for (size_t i = 0; i < n; ++i) {
+    TransactionSpec& t = txns[i];
     const size_t want =
         static_cast<size_t>(chains_per_txn_dist.Sample(rng));
     joined.clear();
@@ -87,39 +88,47 @@ std::vector<TransactionSpec> WorkloadGenerator::Generate(uint64_t seed) const {
     while (joined.size() < want) {
       open.push_back(OpenChain{
           static_cast<size_t>(chain_length_dist.Sample(rng)), 0,
-          kInvalidTxn, txns[i].arrival, 0.0});
+          kInvalidTxn, t.arrival, 0.0});
       joined.push_back(open.size() - 1);
     }
 
-    SimTime batched_arrival = txns[i].arrival;
+    SimTime batched_arrival = t.arrival;
     SimTime pred_frontier = 0.0;
+    tails.clear();
     for (const size_t c : joined) {
       OpenChain& chain = open[c];
       if (chain.last != kInvalidTxn) {
-        txns[i].dependencies.push_back(chain.last);
+        tails.push_back(chain.last);
         pred_frontier = std::max(pred_frontier, chain.frontier);
       }
       batched_arrival = std::min(batched_arrival, chain.opened_at);
     }
+    // Two chains can share the same tail, so the dependency list is the
+    // deduplicated tails, allocated once at its final size.
+    std::sort(tails.begin(), tails.end());
+    tails.erase(std::unique(tails.begin(), tails.end()), tails.end());
+    t.dependencies.assign(tails.begin(), tails.end());
     if (spec_.batch_workflow_arrivals) {
       // Page-request semantics: the transaction is submitted when the
       // earliest workflow it belongs to was requested.
-      txns[i].arrival = batched_arrival;
+      t.arrival = batched_arrival;
     }
-    // Earliest possible finish given predecessors, used by the
-    // path-aware deadline model.
-    earliest_finish[i] =
-        std::max(txns[i].arrival, pred_frontier) + txns[i].length;
+    // Earliest possible finish given predecessors. Path-aware deadline:
+    // d_i = E_i + k_i * l_i (reduces to the Table-I formula for
+    // independent transactions, where E_i = a_i + l_i); own-length: the
+    // literal Table-I formula.
+    const SimTime earliest_finish =
+        std::max(t.arrival, pred_frontier) + t.length;
+    const SimTime base = spec_.deadline_model == DeadlineModel::kPathAware
+                             ? earliest_finish
+                             : t.arrival + t.length;
+    t.deadline = base + t.deadline * t.length;
     for (const size_t c : joined) {
       OpenChain& chain = open[c];
       chain.last = static_cast<TxnId>(i);
       ++chain.current_length;
-      chain.frontier = earliest_finish[i];
+      chain.frontier = earliest_finish;
     }
-    // Deduplicate dependencies (two chains can share the same tail).
-    auto& deps = txns[i].dependencies;
-    std::sort(deps.begin(), deps.end());
-    deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
 
     // Close finished chains (erase by swap; order within `open` is
     // irrelevant to the distribution).
@@ -129,17 +138,6 @@ std::vector<TransactionSpec> WorkloadGenerator::Generate(uint64_t seed) const {
         open.pop_back();
       }
     }
-  }
-
-  // Pass 3: deadlines. Path-aware: d_i = E_i + k_i * l_i (reduces to the
-  // Table-I formula for independent transactions, where E_i = a_i + l_i);
-  // own-length: the literal Table-I formula.
-  for (size_t i = 0; i < n; ++i) {
-    const SimTime base =
-        spec_.deadline_model == DeadlineModel::kPathAware
-            ? earliest_finish[i]
-            : txns[i].arrival + txns[i].length;
-    txns[i].deadline = base + slack_factors[i] * txns[i].length;
   }
 
   return txns;

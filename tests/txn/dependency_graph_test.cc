@@ -1,6 +1,7 @@
 #include "txn/dependency_graph.h"
 
-#include <algorithm>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -42,22 +43,48 @@ TEST(DependencyGraphTest, RootsOfForest) {
   EXPECT_EQ(g.ValueOrDie().Roots(), (std::vector<TxnId>{1, 2}));
 }
 
-TEST(DependencyGraphTest, DiamondTopologicalOrder) {
-  // T0 -> {T1, T2} -> T3.
-  std::vector<TransactionSpec> txns = {
-      Txn(0, 0, 1, 1), Txn(1, 0, 1, 1, 1.0, {0}), Txn(2, 0, 1, 1, 1.0, {0}),
-      Txn(3, 0, 1, 1, 1.0, {1, 2})};
-  auto g = DependencyGraph::Build(txns);
-  ASSERT_TRUE(g.ok());
-  const auto& topo = g.ValueOrDie().TopologicalOrder();
-  ASSERT_EQ(topo.size(), 4u);
-  const auto pos = [&](TxnId id) {
-    return std::find(topo.begin(), topo.end(), id) - topo.begin();
-  };
-  EXPECT_LT(pos(0), pos(1));
-  EXPECT_LT(pos(0), pos(2));
-  EXPECT_LT(pos(1), pos(3));
-  EXPECT_LT(pos(2), pos(3));
+// A set whose dependencies all name lower ids skips the cycle check;
+// any dependency on a higher id sends the set through Kahn's pass. The
+// diamond T0 -> {T1, T2} -> T3 renumbered back to front has only such
+// dependencies: it must build, warm as well as fresh, with the
+// diamond's rows. The diamond with its root made to depend on its sink
+// closes a cycle through one dependency on a higher id and must fail.
+TEST(DependencyGraphTest, BackwardEdgesAreCheckedForCycles) {
+  // T3 -> {T2, T1} -> T0.
+  const std::vector<TransactionSpec> reversed = {
+      Txn(0, 0, 1, 1, 1.0, {2, 1}), Txn(1, 0, 1, 1, 1.0, {3}),
+      Txn(2, 0, 1, 1, 1.0, {3}), Txn(3, 0, 1, 1)};
+  // T0 -> {T1, T2} -> T3 -> T0.
+  const std::vector<TransactionSpec> cycle = {
+      Txn(0, 0, 1, 1, 1.0, {3}), Txn(1, 0, 1, 1, 1.0, {0}),
+      Txn(2, 0, 1, 1, 1.0, {0}), Txn(3, 0, 1, 1, 1.0, {1, 2})};
+
+  auto fresh = DependencyGraph::Build(reversed);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  const DependencyGraph& want = fresh.ValueOrDie();
+  EXPECT_EQ(ToVector(want.predecessors(0)), (std::vector<TxnId>{1, 2}));
+  EXPECT_EQ(ToVector(want.successors(3)), (std::vector<TxnId>{1, 2}));
+  EXPECT_EQ(want.Roots(), std::vector<TxnId>{0});
+
+  auto cyclic = DependencyGraph::Build(cycle);
+  ASSERT_FALSE(cyclic.ok());
+  EXPECT_NE(cyclic.status().message().find("cycle"), std::string::npos);
+
+  // Warm: an id-ordered set, the cycle, then the renumbered diamond,
+  // all in one graph.
+  DependencyGraph graph;
+  ASSERT_TRUE(graph.Rebuild(Chain3()).ok());
+  EXPECT_FALSE(graph.Rebuild(cycle).ok());
+  ASSERT_TRUE(graph.Rebuild(reversed).ok());
+  ASSERT_EQ(graph.num_transactions(), want.num_transactions());
+  EXPECT_EQ(graph.num_edges(), want.num_edges());
+  for (TxnId id = 0; id < 4; ++id) {
+    EXPECT_EQ(ToVector(graph.predecessors(id)),
+              ToVector(want.predecessors(id)))
+        << "T" << id;
+    EXPECT_EQ(ToVector(graph.successors(id)), ToVector(want.successors(id)))
+        << "T" << id;
+  }
 }
 
 TEST(DependencyGraphTest, RejectsCycle) {
