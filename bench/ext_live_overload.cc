@@ -10,18 +10,20 @@
 // tier. The story the brownout column tells: under overload it sheds
 // LIGHT tasks early (observed tardiness trips tier floors), so the
 // weighted goodput and the heavy tier hold up long after "none"
-// collapses into uniform lateness and "depth" sheds blindly.
+// collapses into uniform lateness and "depth" sheds blindly. Every run
+// is served through rt::ServeArrivals and its trace audited by the live
+// validator; a violation goes to stderr and fails the bench (exit 1).
 
 #include <iostream>
-#include <memory>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/distributions.h"
 #include "common/rng.h"
-#include "rt/clock.h"
-#include "rt/executor.h"
+#include "rt/live_validator.h"
+#include "rt/serve.h"
 #include "sched/admission.h"
 #include "sched/policy_factory.h"
 
@@ -42,6 +44,7 @@ struct RunMetrics {
   double weighted_goodput = 0.0;  // completed weight / submitted weight
   double avg_tardiness = 0.0;     // completed tasks only
   double heavy_survival = 0.0;    // completion rate of the top SLA tier
+  std::vector<std::string> violations;  // live validator findings
 };
 
 /// SLA weight draw: 70% weight 1, 25% weight 4, 5% weight 16 — the
@@ -53,11 +56,9 @@ double DrawWeight(Rng& rng) {
   return 16.0;
 }
 
-rt::ExecutorOptions OptionsFor(Mode mode,
-                               std::shared_ptr<rt::Clock> clock) {
+rt::ExecutorOptions OptionsFor(Mode mode) {
   rt::ExecutorOptions options;
   options.num_workers = kNumWorkers;
-  options.clock = std::move(clock);
   // Moderate fault seasoning, identical across modes: stall windows
   // (watchdog fails over), occasional crashes (warm failover).
   options.faults.plan.outage_rate = 0.05;
@@ -92,52 +93,46 @@ rt::ExecutorOptions OptionsFor(Mode mode,
   return options;
 }
 
+/// Serves one ramp step and audits its trace with the live validator.
 RunMetrics RunOne(Mode mode, double utilization) {
-  auto clock = std::make_shared<rt::VirtualClock>();
-  auto policy = CreatePolicy("EDF");
-  WEBTX_CHECK(policy.ok()) << policy.status().ToString();
-  rt::Executor exec(std::move(policy).ValueOrDie(),
-                    OptionsFor(mode, clock));
-
   // Same seed for every mode: identical arrivals, durations, weights.
   Rng rng(kWorkloadSeed);
   const double mean_gap =
       kMeanDuration / (utilization * static_cast<double>(kNumWorkers));
-  std::vector<double> weights;
-  weights.reserve(kNumTasks);
+  std::vector<LiveArrival> arrivals(kNumTasks);
   double arrival = 0.0;
-  clock->RegisterParticipant();
-  for (size_t i = 0; i < kNumTasks; ++i) {
+  for (LiveArrival& a : arrivals) {
     arrival += ExponentialDistribution(1.0 / mean_gap).Sample(rng);
-    const double duration =
-        ExponentialDistribution(1.0 / kMeanDuration).Sample(rng);
-    const double weight = DrawWeight(rng);
-    weights.push_back(weight);
-    clock->SleepUntil(arrival, nullptr);
-    rt::TaskSpec spec;
-    spec.simulated_duration = duration;
-    spec.estimated_cost = duration;
-    spec.relative_deadline = duration * kDeadlineSlack;
-    spec.weight = weight;
-    WEBTX_CHECK(exec.Submit(spec).ok());
+    a.arrival = arrival;
+    a.duration = ExponentialDistribution(1.0 / kMeanDuration).Sample(rng);
+    a.relative_deadline = a.duration * kDeadlineSlack;
+    a.weight = DrawWeight(rng);
   }
-  exec.Drain();
-  exec.Shutdown();
-  clock->DeregisterParticipant();
+  auto policy = CreatePolicy("EDF");
+  WEBTX_CHECK(policy.ok()) << policy.status().ToString();
+  auto served = rt::ServeArrivals(std::move(policy).ValueOrDie(),
+                                  OptionsFor(mode), rt::TaskRetry{}, arrivals);
+  WEBTX_CHECK(served.ok()) << served.status().ToString();
+  const rt::ServedRun& run = served.ValueOrDie();
 
   RunMetrics metrics;
+  metrics.violations =
+      rt::ValidateLiveTrace(run.trace, run.tasks, run.outcomes, run.stats,
+                            run.validator_options)
+          .violations;
   double weight_total = 0.0, weight_done = 0.0, tardiness = 0.0;
   size_t completed = 0, heavy = 0, heavy_done = 0;
   for (TxnId id = 0; id < kNumTasks; ++id) {
-    const rt::TaskOutcome outcome = exec.OutcomeOf(id);
-    weight_total += weights[id];
+    const rt::TaskOutcome& outcome = run.outcomes[id];
+    const double weight = arrivals[id].weight;
+    weight_total += weight;
     const bool done = outcome.result == rt::TaskResult::kCompleted;
     if (done) {
       ++completed;
-      weight_done += weights[id];
+      weight_done += weight;
       tardiness += outcome.tardiness_seconds;
     }
-    if (weights[id] == 16.0) {
+    if (weight == 16.0) {
       ++heavy;
       if (done) ++heavy_done;
     }
@@ -163,6 +158,7 @@ int main() {
   Table weighted(header);
   Table tardiness(header);
   Table heavy(header);
+  size_t violations = 0;
 
   std::cout << "Live overload control: rt::Executor under a utilization "
             << "ramp (virtual clock,\n"
@@ -172,15 +168,20 @@ int main() {
             << "brownout.\n\n";
 
   for (const double utilization : utilizations) {
+    const std::string label = FormatFixed(utilization, 1);
     std::vector<double> g, w, t, h;
-    for (const Mode mode : kModes) {
-      const RunMetrics metrics = RunOne(mode, utilization);
+    for (size_t m = 0; m < std::size(kModes); ++m) {
+      const RunMetrics metrics = RunOne(kModes[m], utilization);
       g.push_back(metrics.goodput);
       w.push_back(metrics.weighted_goodput);
       t.push_back(metrics.avg_tardiness);
       h.push_back(metrics.heavy_survival);
+      for (const std::string& violation : metrics.violations) {
+        std::cerr << "live invariant (" << header[m + 1] << ", utilization "
+                  << label << "): " << violation << "\n";
+      }
+      violations += metrics.violations.size();
     }
-    const std::string label = FormatFixed(utilization, 1);
     goodput.AddNumericRow(label, g);
     weighted.AddNumericRow(label, w);
     tardiness.AddNumericRow(label, t);
@@ -199,5 +200,6 @@ int main() {
   std::cout << "\nHeavy-tier (weight 16) completion rate:\n";
   heavy.Print(std::cout);
   bench::SaveCsv(heavy, "ext_live_overload_heavy_tier");
-  return 0;
+  // Every run is audited; a violation fails the bench.
+  return violations == 0 ? 0 : 1;
 }

@@ -99,6 +99,7 @@ bench_smoke() {
   echo "==> bench smoke [release]"
   ./build-release/bench/sweep_throughput --smoke
   ./build-release/bench/ext_huge_scale --smoke
+  ./build-release/bench/ext_live_overload
   ./build-release/bench/micro_scheduler_overhead \
     --benchmark_min_time=0.01 \
     --benchmark_filter='BM_PolicyEventCost.*/256$|BM_IndexedPq.*/64$|BM_IndexedPqTopK/n:64/k:2$|BM_SimWorkloadRebuild/batched$'

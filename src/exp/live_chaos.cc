@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
-#include <memory>
 #include <sstream>
 #include <utility>
 
 #include "common/rng.h"
-#include "rt/clock.h"
 #include "rt/live_validator.h"
-#include "sched/admission.h"
 #include "sched/policy_factory.h"
 
 namespace webtx {
@@ -84,30 +80,14 @@ std::vector<Field<Case>> WatchdogFields(Map k) {
 constexpr uint64_t kLiveCaseStream = 0x11FECA5Eull;
 constexpr uint64_t kLiveFaultStream = 0x11FEFA17ull;
 
-constexpr double kMinTaskSeconds = 1e-4;
-
-double ExpDraw(Rng& rng, double mean) {
-  // -mean * ln(1 - U), U in [0, 1): the standard inverse-CDF draw.
-  return -mean * std::log1p(-rng.NextDouble());
-}
-
-/// One drawn task: the harness materializes the whole workload before
-/// submitting so arrival order (and so TxnId assignment) is fixed.
-struct DrawnTask {
-  double arrival = 0.0;
-  double duration = 0.0;
-  double relative_deadline = 0.0;
-  double weight = 1.0;
-  double timeout = 0.0;
-  int dep_index = -1;  // index of an earlier task, or -1
-};
-
-std::vector<DrawnTask> DrawWorkload(const LiveChaosCase& c) {
+/// The case's workload, drawn up front so arrival order (and so TxnId
+/// assignment) is fixed.
+std::vector<LiveArrival> DrawWorkload(const LiveChaosCase& c) {
   Rng rng(c.workload_seed);
-  std::vector<DrawnTask> tasks(c.num_tasks);
+  std::vector<LiveArrival> tasks(c.num_tasks);
   double at = 0.0;
   for (size_t i = 0; i < c.num_tasks; ++i) {
-    DrawnTask& t = tasks[i];
+    LiveArrival& t = tasks[i];
     at += ExpDraw(rng, c.mean_interarrival);
     t.arrival = at;
     t.duration = std::max(kMinTaskSeconds, ExpDraw(rng, c.mean_duration));
@@ -115,7 +95,7 @@ std::vector<DrawnTask> DrawWorkload(const LiveChaosCase& c) {
         t.duration * (1.0 + c.deadline_slack * rng.NextDouble());
     t.weight = static_cast<double>(rng.NextInRange(1, c.max_weight));
     if (i > 0 && rng.NextDouble() < c.dep_prob) {
-      t.dep_index = static_cast<int>(rng.NextInRange(0, i - 1));
+      t.depends_on = static_cast<int64_t>(rng.NextInRange(0, i - 1));
     }
     if (rng.NextDouble() < c.timeout_prob) {
       // Half the range undercuts the duration, so some attempts time
@@ -124,34 +104,6 @@ std::vector<DrawnTask> DrawWorkload(const LiveChaosCase& c) {
     }
   }
   return tasks;
-}
-
-rt::ExecutorOptions ExecutorOptionsFor(const LiveChaosCase& c,
-                                       std::shared_ptr<rt::Clock> clock) {
-  rt::ExecutorOptions options;
-  options.num_workers = c.num_workers;
-  options.clock = std::move(clock);
-  options.faults = c.faults;
-  options.migration = c.migration;
-  switch (c.admission) {
-    case LiveChaosCase::Admission::kNone:
-      break;
-    case LiveChaosCase::Admission::kQueueDepth: {
-      QueueDepthAdmissionOptions depth;
-      depth.max_ready = c.admission_max_ready;
-      options.admission = MakeQueueDepthAdmission(depth);
-      break;
-    }
-    case LiveChaosCase::Admission::kBrownout:
-      options.admission = MakeBrownoutAdmission();
-      break;
-  }
-  options.watchdog = c.watchdog;
-  options.watchdog_stall_seconds = c.watchdog_stall_seconds;
-  options.retry_max_backoff = c.retry_max_backoff;
-  options.retry_budget = c.retry_budget;
-  options.record_trace = true;
-  return options;
 }
 
 std::vector<Field<LiveChaosCase>> LiveFields() {
@@ -180,7 +132,7 @@ std::vector<Field<LiveChaosCase>> LiveFields() {
 Result<CaseRun> LiveRun(const LiveChaosCase& c) {
   WEBTX_ASSIGN_OR_RETURN(const LiveChaosRun r, RunLiveChaosCase(c));
   return CaseRun{r.digest,
-                 CheckLiveChaosInvariants(c, r),
+                 CheckLiveChaosInvariants(r),
                  {{"crashes", r.stats.crashes},
                   {"stalls", r.stats.stalls},
                   {"migrations", r.stats.migrations},
@@ -192,86 +144,34 @@ Result<CaseRun> LiveRun(const LiveChaosCase& c) {
 }  // namespace
 
 Result<LiveChaosRun> RunLiveChaosCase(const LiveChaosCase& c) {
-  // Cross-field settings the executor would CHECK; per-field ranges are
-  // the replay parser's.
-  WEBTX_RETURN_NOT_OK(
-      rt::FaultInjector::Create(c.faults, c.num_workers).status());
-  if (c.admission == LiveChaosCase::Admission::kQueueDepth &&
-      c.admission_max_ready == 0) {
-    return Status::InvalidArgument("queue-depth admission needs max_ready");
-  }
   WEBTX_ASSIGN_OR_RETURN(auto policy, CreatePolicy(c.policy));
-  const std::vector<DrawnTask> drawn = DrawWorkload(c);
-  auto clock = std::make_shared<rt::VirtualClock>();
-  rt::ExecutorOptions options = ExecutorOptionsFor(c, clock);
-  WEBTX_RETURN_NOT_OK(options.Validate());
-  rt::Executor exec(std::move(policy), std::move(options));
-
-  LiveChaosRun run;
-  run.tasks.resize(c.num_tasks);
-  std::vector<TxnId> ids(c.num_tasks, kInvalidTxn);
-
-  // The driver is a clock participant: virtual time halts while it is
-  // between submits, so every arrival lands at its exact drawn instant.
-  clock->RegisterParticipant();
-  Status failure;  // deferred so the participant is always deregistered
-  for (size_t i = 0; i < c.num_tasks; ++i) {
-    const DrawnTask& t = drawn[i];
-    clock->SleepUntil(t.arrival, nullptr);
-    rt::TaskSpec spec;
-    spec.relative_deadline = t.relative_deadline;
-    spec.weight = t.weight;
-    spec.estimated_cost = t.duration;
-    spec.simulated_duration = t.duration;
-    spec.timeout_seconds = t.timeout;
-    spec.max_attempts = c.retry_max_attempts;
-    spec.retry_backoff_seconds = c.retry_backoff;
-    spec.backoff_multiplier = c.retry_backoff_multiplier;
-    if (t.dep_index >= 0) {
-      spec.dependencies.push_back(ids[static_cast<size_t>(t.dep_index)]);
-    }
-    Result<TxnId> id = exec.Submit(std::move(spec));
-    if (!id.ok()) {
-      failure = id.status();
-      break;
-    }
-    ids[i] = std::move(id).ValueOrDie();
-    rt::LiveTaskRecord& record = run.tasks[ids[i]];
-    record.submit_seconds = t.arrival;
-    record.deadline_seconds = t.arrival + t.relative_deadline;
-    record.max_attempts = c.retry_max_attempts;
-    record.retry_backoff = c.retry_backoff;
-    record.backoff_multiplier = c.retry_backoff_multiplier;
-    record.simulated = true;
-    if (t.dep_index >= 0) {
-      record.dependencies.push_back(ids[static_cast<size_t>(t.dep_index)]);
-    }
-  }
-  exec.Drain();
-  exec.Shutdown();
-  clock->DeregisterParticipant();
-  if (!failure.ok()) return failure;
-
-  run.trace = exec.TakeTrace();
-  run.outcomes.resize(c.num_tasks);
-  for (size_t i = 0; i < c.num_tasks; ++i) {
-    run.outcomes[ids[i]] = exec.OutcomeOf(ids[i]);
-  }
-  run.stats = exec.stats();
-  run.digest = rt::LiveTraceDigest(run.trace);
-  return run;
-}
-
-Status CheckLiveChaosInvariants(const LiveChaosCase& c,
-                                const LiveChaosRun& run) {
-  rt::LiveValidatorOptions options;
+  rt::ExecutorOptions options;
+  options.num_workers = c.num_workers;
+  options.faults = c.faults;
+  options.migration = c.migration;
+  WEBTX_ASSIGN_OR_RETURN(
+      options.admission,
+      rt::AdmissionFor({.admission = c.admission,
+                        .max_ready = c.admission_max_ready}));
   options.watchdog = c.watchdog;
   options.watchdog_stall_seconds = c.watchdog_stall_seconds;
   options.retry_max_backoff = c.retry_max_backoff;
+  options.retry_budget = c.retry_budget;
+  WEBTX_ASSIGN_OR_RETURN(
+      rt::ServedRun served,
+      rt::ServeArrivals(std::move(policy), std::move(options),
+                        {c.retry_max_attempts, c.retry_backoff,
+                         c.retry_backoff_multiplier},
+                        DrawWorkload(c)));
+  const uint64_t digest = rt::LiveTraceDigest(served.trace);
+  return LiveChaosRun{std::move(served), digest};
+}
+
+Status CheckLiveChaosInvariants(const LiveChaosRun& run) {
   return ViolationStatus(
       "live invariant",
       rt::ValidateLiveTrace(run.trace, run.tasks, run.outcomes, run.stats,
-                            options)
+                            run.validator_options)
           .violations);
 }
 
@@ -499,11 +399,6 @@ Result<CaseRun> TwinRun(const TwinChaosCase& c) {
 }  // namespace
 
 Result<rt::TwinReport> RunTwinChaosCase(const TwinChaosCase& c) {
-  // The latency-spike settings the executor would CHECK; rt::Twin
-  // validates the rest.
-  WEBTX_RETURN_NOT_OK(
-      rt::FaultInjector::Create(c.controller.faults, c.controller.num_workers)
-          .status());
   rt::Twin twin(c.controller);
   return twin.Run(GenerateLiveArrivals(c.workload));
 }

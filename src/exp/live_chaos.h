@@ -2,9 +2,10 @@
 #define WEBTX_EXP_LIVE_CHAOS_H_
 
 // The executor-backed chaos profiles of the campaign engine
-// (exp/campaign.h): `live` drives rt::Executor directly, `twin` drives
-// rt::Twin (the executor steered by shadow simulations). Both run on a
-// VirtualClock, so every case replays digest-identically.
+// (exp/campaign.h): `live` serves a drawn workload to rt::Executor,
+// `twin` drives rt::Twin (the executor steered by shadow simulations).
+// Both serve through rt::ServeArrivals on a VirtualClock, so every case
+// replays digest-identically.
 
 #include <cstdint>
 #include <string>
@@ -14,8 +15,7 @@
 #include "exp/campaign.h"
 #include "rt/executor.h"
 #include "rt/fault_injector.h"
-#include "rt/live_trace.h"
-#include "rt/live_validator.h"
+#include "rt/serve.h"
 #include "rt/twin.h"
 #include "sim/fault_plan.h"
 #include "workload/live_arrivals.h"
@@ -71,28 +71,22 @@ struct LiveChaosCase {
   double watchdog_stall_seconds = 0.0;
 };
 
-/// Everything one executed case produced, enough to validate and to
-/// digest: the quiescent trace, the harness-side ground-truth task
-/// records, final outcomes (indexed by TxnId), and the stats snapshot.
-struct LiveChaosRun {
-  std::vector<rt::LiveTraceEvent> trace;
-  std::vector<rt::LiveTaskRecord> tasks;
-  std::vector<rt::TaskOutcome> outcomes;
-  rt::ExecutorStats stats;
+/// Everything one executed case produced: the served-batch bundle
+/// (rt/serve.h), enough to validate, plus its digest.
+struct LiveChaosRun : rt::ServedRun {
   /// LiveTraceDigest(trace): the replay byte-identity contract.
   uint64_t digest = 0;
 };
 
-/// Executes one case to quiescence under a fresh VirtualClock (the
-/// caller thread drives submissions at the drawn arrival instants as a
-/// registered clock participant) and returns the run record. Fails on
-/// invalid case parameters (bad policy spec, bad fault config, ...).
+/// Draws the case's workload and serves it (rt::ServeArrivals: a fresh
+/// VirtualClock, the caller thread submitting at the drawn arrival
+/// instants). Fails on invalid case parameters (bad policy spec, bad
+/// fault config, a queue-depth cap of 0, ...).
 Result<LiveChaosRun> RunLiveChaosCase(const LiveChaosCase& c);
 
 /// Audits a run against the live crash-era invariants
 /// (rt/live_validator.h). Ok iff no violations.
-Status CheckLiveChaosInvariants(const LiveChaosCase& c,
-                                const LiveChaosRun& run);
+Status CheckLiveChaosInvariants(const LiveChaosRun& run);
 
 /// The `index`-th case of a campaign, derived deterministically from
 /// `master_seed` (biased toward crash streams — the point of the

@@ -118,8 +118,6 @@ Executor::Executor(std::unique_ptr<SchedulerPolicy> policy,
 
 Executor::~Executor() { Shutdown(); }
 
-double Executor::NowSeconds() const { return clock_->Now(); }
-
 void Executor::RecordLocked(double time, LiveEventKind kind, TxnId txn,
                             uint32_t slot, uint32_t attempt, uint64_t aux) {
   if (!options_.record_trace) return;
@@ -388,12 +386,6 @@ void Executor::AwaitQuiescenceLocked(std::unique_lock<std::mutex>& lock,
     std::this_thread::yield();
     lock.lock();
   }
-}
-
-ExecutorSnapshot Executor::SnapshotAtQuiescence() {
-  ExecutorSnapshot snap;
-  SnapshotAtQuiescence(&snap);
-  return snap;
 }
 
 void Executor::SnapshotAtQuiescence(ExecutorSnapshot* out) {

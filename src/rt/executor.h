@@ -333,18 +333,14 @@ class Executor {
 
   /// Blocks until the executor is quiescent at the CURRENT clock
   /// instant — every completion due by now has been applied, every due
-  /// timer fired, and no dispatch is possible — then returns a
-  /// consistent snapshot of all unfinished work. Under a VirtualClock
-  /// the caller should be a registered participant: a runnable
-  /// registered thread freezes the timeline, so the snapshot captures
-  /// the exact virtual instant (the digital twin's control-tick
-  /// contract). Safe from any thread; returns an empty-task snapshot
-  /// once the run is drained.
-  ExecutorSnapshot SnapshotAtQuiescence();
-
-  /// Buffer-reuse variant for callers that snapshot on a cadence (the
-  /// twin's control tick): fills `out` in place, reusing its task
-  /// vector's capacity so steady-state snapshots allocate nothing new.
+  /// timer fired, and no dispatch is possible — then fills `out` with a
+  /// consistent snapshot of all unfinished work, reusing its task
+  /// vector's capacity (a caller that snapshots on a cadence allocates
+  /// nothing new in steady state). Under a VirtualClock the caller
+  /// should be a registered participant: a runnable registered thread
+  /// freezes the timeline, so the snapshot captures the exact virtual
+  /// instant (the digital twin's control-tick contract). Safe from any
+  /// thread; yields an empty-task snapshot once the run is drained.
   void SnapshotAtQuiescence(ExecutorSnapshot* out);
 
   /// Swaps the scheduling policy and/or admission controller at a
@@ -357,11 +353,6 @@ class Executor {
   /// through their normal release paths and announce themselves to the
   /// new policy there.
   void Reconfigure(ReconfigureRequest request);
-
-  /// Seconds elapsed on the executor's Clock (its SimTime).
-  double NowSeconds() const;
-
-  const Clock& clock() const { return *clock_; }
 
  private:
   /// Adapter exposing executor state to the policy and the admission

@@ -10,7 +10,6 @@
 #include "common/check.h"
 #include "common/digest.h"
 #include "common/rng.h"
-#include "rt/clock.h"
 #include "sched/policy_factory.h"
 #include "sim/simulator.h"
 
@@ -23,36 +22,10 @@ constexpr uint64_t kForecastStream = 0x7D161A17ull;
 /// Cap on synthetic future arrivals per forecast (tick cost bound).
 constexpr size_t kMaxForecastArrivals = 2000;
 
-/// Smallest service time the shadow simulator is fed (mirrors the live
-/// harness floor in workload/live_arrivals.cc).
-constexpr double kMinForecastSeconds = 1e-4;
-
-double ExpDraw(Rng& rng, double mean) {
-  return -mean * std::log1p(-rng.NextDouble());
-}
-
 /// Terminal-but-not-completed count from the live stats counters.
 size_t ShedCount(const ExecutorStats& s) {
   return s.shed_admission + s.shed_shutdown + s.dropped_retries +
          s.dropped_dependency;
-}
-
-AdmissionFactory AdmissionFor(const TwinCandidate& candidate) {
-  switch (candidate.admission) {
-    case TwinCandidate::Admission::kNone:
-      return nullptr;
-    case TwinCandidate::Admission::kQueueDepth: {
-      QueueDepthAdmissionOptions o;
-      o.max_ready = candidate.max_ready;
-      return MakeQueueDepthAdmission(o);
-    }
-    case TwinCandidate::Admission::kBrownout: {
-      BrownoutAdmissionOptions o;
-      o.capacity_slo = candidate.capacity_slo;
-      return MakeBrownoutAdmission(o);
-    }
-  }
-  return nullptr;
 }
 
 /// The candidate checks of Twin::Run and TwinForecastEngine::Create:
@@ -65,13 +38,7 @@ Status ValidateCandidates(const std::vector<TwinCandidate>& candidates) {
   }
   for (const TwinCandidate& candidate : candidates) {
     WEBTX_RETURN_NOT_OK(CreatePolicy(candidate.policy).status());
-    if (candidate.admission == TwinCandidate::Admission::kQueueDepth &&
-        candidate.max_ready == 0) {
-      return Status::InvalidArgument("queue-depth candidate needs max_ready");
-    }
-    if (!(candidate.capacity_slo >= 0.0 && candidate.capacity_slo <= 1.0)) {
-      return Status::InvalidArgument("capacity_slo must be in [0, 1]");
-    }
+    WEBTX_RETURN_NOT_OK(AdmissionFor(candidate).status());
   }
   return Status::OK();
 }
@@ -86,25 +53,33 @@ struct ControllerState {
   double forecast_tardiness = 0.0;
   double forecast_shed = 0.0;
   ExecutorStats prev_stats;  // window baseline
-  TwinArrivalWindow window;
 };
 
 }  // namespace
 
-const char* TwinDecisionKindName(TwinDecision::Kind kind) {
-  switch (kind) {
-    case TwinDecision::Kind::kHold:
-      return "hold";
-    case TwinDecision::Kind::kSwitch:
-      return "switch";
-    case TwinDecision::Kind::kFallback:
-      return "fallback";
-    case TwinDecision::Kind::kCooldown:
-      return "cooldown";
-    case TwinDecision::Kind::kReenable:
-      return "reenable";
+Result<AdmissionFactory> AdmissionFor(const TwinCandidate& candidate) {
+  if (candidate.admission == TwinCandidate::Admission::kQueueDepth &&
+      candidate.max_ready == 0) {
+    return Status::InvalidArgument("queue-depth admission needs max_ready");
   }
-  return "?";
+  if (!(candidate.capacity_slo >= 0.0 && candidate.capacity_slo <= 1.0)) {
+    return Status::InvalidArgument("capacity_slo must be in [0, 1]");
+  }
+  switch (candidate.admission) {
+    case TwinCandidate::Admission::kNone:
+      break;
+    case TwinCandidate::Admission::kQueueDepth: {
+      QueueDepthAdmissionOptions o;
+      o.max_ready = candidate.max_ready;
+      return MakeQueueDepthAdmission(o);
+    }
+    case TwinCandidate::Admission::kBrownout: {
+      BrownoutAdmissionOptions o;
+      o.capacity_slo = candidate.capacity_slo;
+      return MakeBrownoutAdmission(o);
+    }
+  }
+  return AdmissionFactory();
 }
 
 Twin::Twin(TwinOptions options) : options_(std::move(options)) {}
@@ -131,7 +106,7 @@ Result<TwinForecastEngine> TwinForecastEngine::Create(
     Slot slot;
     WEBTX_ASSIGN_OR_RETURN(slot.policy, CreatePolicy(candidate.policy));
     SimOptions sim_options;
-    sim_options.admission = AdmissionFor(candidate);
+    sim_options.admission = std::move(AdmissionFor(candidate)).ValueOrDie();
     sim_options.record_outcomes = false;
     WEBTX_ASSIGN_OR_RETURN(
         Simulator sim,
@@ -163,7 +138,7 @@ void TwinForecastEngine::BuildSpecsInto(const ExecutorSnapshot& snap,
     TransactionSpec spec;
     spec.id = specs.size();
     spec.arrival = std::max(0.0, task.release - snap.now);
-    spec.length = std::max(kMinForecastSeconds,
+    spec.length = std::max(kMinTaskSeconds,
                            task.remaining * options.snapshot_corruption);
     spec.length_estimate = spec.length;
     spec.deadline = task.deadline - snap.now;
@@ -200,10 +175,10 @@ void TwinForecastEngine::BuildSpecsInto(const ExecutorSnapshot& snap,
       spec.id = specs.size();
       spec.arrival = t;
       spec.length =
-          std::max(kMinForecastSeconds,
+          std::max(kMinTaskSeconds,
                    ExpDraw(rng, mean_duration) * options.snapshot_corruption);
       spec.length_estimate = spec.length;
-      spec.deadline = t + std::max(kMinForecastSeconds, mean_deadline);
+      spec.deadline = t + std::max(kMinTaskSeconds, mean_deadline);
       spec.weight = mean_weight;
       specs.push_back(std::move(spec));
       t += ExpDraw(rng, 1.0 / rate);
@@ -273,15 +248,26 @@ const std::vector<TwinForecast>& TwinForecastEngine::Forecast(
 
 namespace {
 
-/// One control tick: close the observation window, run the divergence
-/// guard, and (when the guard allows) forecast every candidate and apply
-/// the hysteresis switch rule. Runs on the driver thread while it is a
+/// Puts `candidate` in force at the executor's next quiescent point.
+void Apply(Executor& exec, const TwinCandidate& candidate) {
+  ReconfigureRequest request;
+  request.policy = std::move(CreatePolicy(candidate.policy)).ValueOrDie();
+  request.replace_admission = true;
+  request.admission = std::move(AdmissionFor(candidate)).ValueOrDie();
+  exec.Reconfigure(std::move(request));
+}
+
+/// One control tick: close the observation window (`window`, the
+/// arrivals since the previous tick), run the divergence guard, and
+/// (when the guard allows) forecast every candidate and apply the
+/// hysteresis switch rule. Runs on the driver thread while it is a
 /// runnable clock participant, so the whole tick — snapshot, forecasts,
 /// reconfiguration — happens at one frozen virtual instant. `snap` is a
 /// caller-owned buffer reused across ticks.
 void ControlTick(const TwinOptions& options, Executor& exec,
                  TwinForecastEngine& engine, ControllerState& ctl,
-                 uint64_t tick, TwinReport& report, ExecutorSnapshot& snap) {
+                 uint64_t tick, const TwinArrivalWindow& window,
+                 TwinReport& report, ExecutorSnapshot& snap) {
   exec.SnapshotAtQuiescence(&snap);
 
   // Observed metrics of the window that just closed, from exact
@@ -313,7 +299,6 @@ void ControlTick(const TwinOptions& options, Executor& exec,
     --ctl.cooldown;
     decision.kind = ctl.cooldown == 0 ? TwinDecision::Kind::kReenable
                                       : TwinDecision::Kind::kCooldown;
-    ctl.window.Reset();
     report.decisions.push_back(decision);
     return;
   }
@@ -341,19 +326,13 @@ void ControlTick(const TwinOptions& options, Executor& exec,
     // configuration and stop trusting forecasts for the cooldown.
     const auto static_index = static_cast<uint32_t>(options.static_index);
     if (ctl.applied != static_index) {
-      const TwinCandidate& fallback = options.candidates[static_index];
-      ReconfigureRequest request;
-      request.policy = std::move(CreatePolicy(fallback.policy)).ValueOrDie();
-      request.replace_admission = true;
-      request.admission = AdmissionFor(fallback);
-      exec.Reconfigure(std::move(request));
+      Apply(exec, options.candidates[static_index]);
       ctl.applied = static_index;
     }
     ctl.strikes = 0;
     ctl.dwell = 0;
     ctl.has_forecast = false;
     ctl.cooldown = options.guard_cooldown_ticks;
-    ctl.window.Reset();
     decision.kind = TwinDecision::Kind::kFallback;
     decision.applied = ctl.applied;
     decision.best = ctl.applied;
@@ -365,8 +344,7 @@ void ControlTick(const TwinOptions& options, Executor& exec,
   // Shadow what-if forecasts, one per candidate, all from the same
   // warm-started workload.
   const std::vector<TwinForecast>& forecasts =
-      engine.Forecast(snap, ctl.window, tick, ctl.applied);
-  ctl.window.Reset();
+      engine.Forecast(snap, window, tick, ctl.applied);
   uint32_t best = 0;
   for (uint32_t i = 1; i < forecasts.size(); ++i) {
     if (forecasts[i].score < forecasts[best].score) best = i;
@@ -382,12 +360,7 @@ void ControlTick(const TwinOptions& options, Executor& exec,
       forecasts[best].score < incumbent_score * (1.0 - options.switch_margin);
   if (best != ctl.applied && actionable && margin_met &&
       ctl.dwell >= options.dwell_ticks) {
-    const TwinCandidate& winner = options.candidates[best];
-    ReconfigureRequest request;
-    request.policy = std::move(CreatePolicy(winner.policy)).ValueOrDie();
-    request.replace_admission = true;
-    request.admission = AdmissionFor(winner);
-    exec.Reconfigure(std::move(request));
+    Apply(exec, options.candidates[best]);
     ctl.applied = best;
     ctl.dwell = 0;
     decision.kind = TwinDecision::Kind::kSwitch;
@@ -436,111 +409,45 @@ Result<TwinReport> Twin::Run(const std::vector<LiveArrival>& arrivals) {
   if (!(options_.snapshot_corruption > 0.0)) {
     return Status::InvalidArgument("snapshot_corruption must be > 0");
   }
-  WEBTX_ASSIGN_OR_RETURN(FaultPlan plan_check,
-                         FaultPlan::Create(options_.faults.plan));
-  (void)plan_check;
 
   const TwinCandidate& initial = options_.candidates[options_.static_index];
-  auto clock = std::make_shared<VirtualClock>();
   ExecutorOptions exec_options;
   exec_options.num_workers = options_.num_workers;
-  exec_options.clock = clock;
   exec_options.faults = options_.faults;
   exec_options.migration = options_.migration;
-  exec_options.admission = AdmissionFor(initial);
+  exec_options.admission = std::move(AdmissionFor(initial)).ValueOrDie();
   exec_options.watchdog = options_.watchdog;
   exec_options.watchdog_stall_seconds = options_.watchdog_stall_seconds;
   exec_options.retry_max_backoff = options_.retry_max_backoff;
   exec_options.retry_budget = options_.retry_budget;
-  exec_options.record_trace = true;
-  WEBTX_RETURN_NOT_OK(exec_options.Validate());
+  const TaskRetry retry{options_.retry_max_attempts, options_.retry_backoff,
+                        options_.retry_backoff_multiplier};
 
+  TwinReport report;
+  ControllerState ctl;
+  ctl.applied = static_cast<uint32_t>(options_.static_index);
   // The forecast engine owns the per-candidate shadow simulators; only
   // built when control ticks will actually run.
   std::unique_ptr<TwinForecastEngine> engine;
+  ServeTickHook on_tick;
+  uint64_t tick = 0;
+  ExecutorSnapshot snap;  // reused across control ticks
   if (options_.controller_enabled) {
     WEBTX_ASSIGN_OR_RETURN(TwinForecastEngine built,
                            TwinForecastEngine::Create(options_));
     engine = std::make_unique<TwinForecastEngine>(std::move(built));
+    on_tick = [&](Executor& exec, size_t first, size_t end) {
+      TwinArrivalWindow window;
+      for (size_t i = first; i < end; ++i) window.Observe(arrivals[i]);
+      ControlTick(options_, exec, *engine, ctl, tick++, window, report, snap);
+    };
   }
 
   WEBTX_ASSIGN_OR_RETURN(auto policy, CreatePolicy(initial.policy));
-  Executor exec(std::move(policy), exec_options);
-
-  TwinReport report;
-  report.tasks.resize(arrivals.size());
-  report.validator_options.watchdog = options_.watchdog;
-  report.validator_options.watchdog_stall_seconds =
-      options_.watchdog_stall_seconds;
-  report.validator_options.retry_max_backoff = options_.retry_max_backoff;
-  std::vector<TxnId> ids(arrivals.size(), kInvalidTxn);
-
-  ControllerState ctl;
-  ctl.applied = static_cast<uint32_t>(options_.static_index);
-  uint64_t tick = 0;
-  double next_tick = options_.control_interval;
-  ExecutorSnapshot snap;  // reused across control ticks
-
-  // The driver is a clock participant: virtual time halts while it
-  // submits, snapshots, forecasts, and reconfigures, so every arrival
-  // and every control tick lands at its exact virtual instant.
-  clock->RegisterParticipant();
-  Status failure;  // deferred so the participant is always deregistered
-  size_t next = 0;
-  while (failure.ok()) {
-    const bool arrivals_left = next < arrivals.size();
-    if (!arrivals_left && exec.finished_count() == arrivals.size()) break;
-    const double arrival_due =
-        arrivals_left ? arrivals[next].arrival : kNeverSeconds;
-    if (!options_.controller_enabled) {
-      // Pure static serving: no ticks, just the replay/generator feed.
-      if (!arrivals_left) break;  // Drain below runs the tail down
-      clock->SleepUntil(arrival_due, nullptr);
-    } else if (arrival_due > next_tick) {
-      clock->SleepUntil(next_tick, nullptr);
-      ControlTick(options_, exec, *engine, ctl, tick, report, snap);
-      ++tick;
-      next_tick += options_.control_interval;
-      continue;
-    } else {
-      clock->SleepUntil(arrival_due, nullptr);
-    }
-    const LiveArrival& arrival = arrivals[next];
-    TaskSpec spec;
-    spec.relative_deadline = arrival.relative_deadline;
-    spec.weight = arrival.weight;
-    spec.estimated_cost = arrival.duration;
-    spec.simulated_duration = arrival.duration;
-    spec.max_attempts = options_.retry_max_attempts;
-    spec.retry_backoff_seconds = options_.retry_backoff;
-    spec.backoff_multiplier = options_.retry_backoff_multiplier;
-    Result<TxnId> id = exec.Submit(std::move(spec));
-    if (!id.ok()) {
-      failure = id.status();
-      break;
-    }
-    ids[next] = std::move(id).ValueOrDie();
-    LiveTaskRecord& record = report.tasks[ids[next]];
-    record.submit_seconds = arrival.arrival;
-    record.deadline_seconds = arrival.arrival + arrival.relative_deadline;
-    record.max_attempts = options_.retry_max_attempts;
-    record.retry_backoff = options_.retry_backoff;
-    record.backoff_multiplier = options_.retry_backoff_multiplier;
-    record.simulated = true;
-    ctl.window.Observe(arrival);
-    ++next;
-  }
-  exec.Drain();
-  exec.Shutdown();
-  clock->DeregisterParticipant();
-  if (!failure.ok()) return failure;
-
-  report.trace = exec.TakeTrace();
-  report.outcomes.resize(arrivals.size());
-  for (size_t i = 0; i < arrivals.size(); ++i) {
-    report.outcomes[ids[i]] = exec.OutcomeOf(ids[i]);
-  }
-  report.stats = exec.stats();
+  WEBTX_ASSIGN_OR_RETURN(
+      static_cast<ServedRun&>(report),
+      ServeArrivals(std::move(policy), std::move(exec_options), retry,
+                    arrivals, options_.control_interval, on_tick));
   report.final_config = ctl.applied;
   const ExecutorStats& s = report.stats;
   report.avg_tardiness =

@@ -10,8 +10,8 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "rt/executor.h"
-#include "rt/live_trace.h"
-#include "rt/live_validator.h"
+#include "rt/serve.h"
+#include "sched/admission.h"
 #include "sched/scheduler_policy.h"
 #include "sim/fault_plan.h"
 #include "sim/simulator.h"
@@ -32,6 +32,11 @@ struct TwinCandidate {
   /// BrownoutAdmissionOptions::capacity_slo.
   double capacity_slo = 0.0;
 };
+
+/// The admission controller `candidate` names (null for kNone).
+/// InvalidArgument for a queue-depth max_ready of 0 or a capacity_slo
+/// outside [0, 1], which the controllers would CHECK.
+Result<AdmissionFactory> AdmissionFor(const TwinCandidate& candidate);
 
 /// Digital-twin serving-loop knobs. The `candidates` table is the
 /// controller's whole action space; `static_index` names both the
@@ -122,8 +127,6 @@ struct TwinDecision {
   double observed_tardiness = 0.0;
   double observed_shed_ratio = 0.0;
 };
-
-const char* TwinDecisionKindName(TwinDecision::Kind kind);
 
 /// Aggregate statistics over the arrivals observed since the last
 /// control tick — the controller's traffic model for synthesizing
@@ -240,22 +243,17 @@ class TwinForecastEngine {
   TwinDecisionStats stats_;
 };
 
-/// Everything one twin run produced: the validated-trace bundle (same
-/// shape exp/live_chaos consumes), the decision log, and a combined
-/// digest covering both — byte-identity of a twin run includes what the
-/// controller DID, not just what the executor executed.
-struct TwinReport {
-  std::vector<LiveTraceEvent> trace;
-  std::vector<LiveTaskRecord> tasks;  // validator ground truth, by TxnId
-  std::vector<TaskOutcome> outcomes;  // by TxnId
-  ExecutorStats stats;
+/// Everything one twin run produced: the served-batch bundle (trace,
+/// task records, outcomes, stats, validator options), the decision log,
+/// and a combined digest covering both — byte-identity of a twin run
+/// includes what the controller DID, not just what the executor
+/// executed.
+struct TwinReport : ServedRun {
   std::vector<TwinDecision> decisions;
   uint64_t digest = 0;
   size_t switches = 0;
   size_t fallbacks = 0;
   uint32_t final_config = 0;
-  /// Options the live validator needs to audit `trace`.
-  LiveValidatorOptions validator_options;
   // Headline metrics.
   double avg_tardiness = 0.0;  // mean over completed tasks
   double shed_ratio = 0.0;     // non-completed / submitted
@@ -265,10 +263,11 @@ struct TwinReport {
   TwinDecisionStats decision_stats;
 };
 
-/// The digital-twin serving loop: a live front end submits `arrivals`
-/// to an rt::Executor at their exact virtual instants while, every
-/// control_interval, a shadow Simulator warm-started from a quiescent
-/// executor snapshot runs faster-than-real-time what-if forecasts
+/// The digital-twin serving loop: the live front end (ServeArrivals)
+/// submits `arrivals` to an rt::Executor at their exact virtual
+/// instants while, at each control tick (every control_interval), a
+/// shadow Simulator warm-started from a quiescent executor snapshot
+/// runs faster-than-real-time what-if forecasts
 /// (tardiness / shed ratio / goodput for every candidate policy ×
 /// admission knob over forecast_horizon of projected traffic) and a
 /// hysteresis controller applies the winner via
@@ -288,7 +287,8 @@ class Twin {
   /// Runs the serving loop over the materialized arrival batch to
   /// quiescence. The calling thread drives submissions and control
   /// ticks as a registered clock participant. Fails on invalid options
-  /// (unknown policy spec, bad fault plan, empty candidate table, ...).
+  /// (unknown policy spec, bad fault plan, empty candidate table, ...)
+  /// and on arrivals ServeArrivals refuses.
   Result<TwinReport> Run(const std::vector<LiveArrival>& arrivals);
 
  private:

@@ -16,6 +16,7 @@ Result<SimWorkload> SimWorkload::Build(std::vector<TransactionSpec> txns) {
 
 Status SimWorkload::Rebuild(std::vector<TransactionSpec>& txns) {
   specs_.swap(txns);
+  txns.clear();  // hand back the previous storage empty, capacity kept
   const size_t n = specs_.size();
   for (size_t i = 0; i < n; ++i) {
     const TransactionSpec& t = specs_[i];

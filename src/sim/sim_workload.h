@@ -41,12 +41,12 @@ class SimWorkload {
   static Result<SimWorkload> Build(std::vector<TransactionSpec> txns);
 
   /// Rebuilds this workload in place from a new spec set, reusing all
-  /// derived-structure storage. `txns` is swapped into place: on return
-  /// it holds the PREVIOUS build's spec storage (cleared content,
-  /// retained capacity), so a caller ping-ponging one staging buffer
-  /// through Rebuild every tick allocates nothing in steady state. On
-  /// error the workload is left in an unspecified state and must be
-  /// rebuilt before use.
+  /// derived-structure storage. `txns` is swapped into place: on return,
+  /// error or not, it is empty and holds the PREVIOUS build's spec
+  /// storage (retained capacity), so a caller ping-ponging one staging
+  /// buffer through Rebuild every tick reuses that capacity. On error
+  /// the workload is left in an unspecified state and must be rebuilt
+  /// before use.
   Status Rebuild(std::vector<TransactionSpec>& txns);
 
   size_t size() const { return specs_.size(); }

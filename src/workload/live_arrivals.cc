@@ -1,38 +1,12 @@
 #include "workload/live_arrivals.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "common/check.h"
-#include "common/rng.h"
 #include "workload/arrival_process.h"
 
 namespace webtx {
-
-namespace {
-
-/// Smallest task the live harnesses submit (mirrors exp/live_chaos.cc).
-constexpr double kMinTaskSeconds = 1e-4;
-constexpr double kMinRelativeDeadline = 1e-6;
-
-double ExpDraw(Rng& rng, double mean) {
-  return -mean * std::log1p(-rng.NextDouble());
-}
-
-}  // namespace
-
-const char* LiveArrivalShapeName(LiveArrivalShape shape) {
-  switch (shape) {
-    case LiveArrivalShape::kPoisson:
-      return "poisson";
-    case LiveArrivalShape::kOnOff:
-      return "onoff";
-    case LiveArrivalShape::kFlashCrowd:
-      return "flash";
-  }
-  return "?";
-}
 
 std::vector<LiveArrival> GenerateLiveArrivals(
     const LiveArrivalOptions& options) {
@@ -63,31 +37,6 @@ std::vector<LiveArrival> GenerateLiveArrivals(
     a.relative_deadline =
         a.duration * (1.0 + options.deadline_slack * rng.NextDouble());
     a.weight = static_cast<double>(rng.NextInRange(1, options.max_weight));
-  }
-  return arrivals;
-}
-
-std::vector<LiveArrival> LiveArrivalsFromTrace(
-    const std::vector<TransactionSpec>& specs) {
-  std::vector<size_t> order(specs.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (specs[a].arrival != specs[b].arrival) {
-      return specs[a].arrival < specs[b].arrival;
-    }
-    return a < b;
-  });
-  std::vector<LiveArrival> arrivals;
-  arrivals.reserve(specs.size());
-  for (const size_t i : order) {
-    const TransactionSpec& spec = specs[i];
-    LiveArrival a;
-    a.arrival = spec.arrival;
-    a.duration = std::max(kMinTaskSeconds, spec.length);
-    a.relative_deadline =
-        std::max(kMinRelativeDeadline, spec.deadline - spec.arrival);
-    a.weight = spec.weight;
-    arrivals.push_back(a);
   }
   return arrivals;
 }

@@ -1,18 +1,18 @@
 #ifndef WEBTX_WORKLOAD_LIVE_ARRIVALS_H_
 #define WEBTX_WORKLOAD_LIVE_ARRIVALS_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
-#include "txn/transaction.h"
+#include "common/rng.h"
 
 namespace webtx {
 
-/// One arrival the live front end will submit to rt::Executor: the
-/// common currency between the trace replayer, the open-loop load
-/// generator, and the digital twin's serving loop (rt/twin.h). All
-/// times are seconds; `arrival` instants are non-decreasing within a
-/// generated batch.
+/// One arrival the live front end (rt/serve.h) submits to rt::Executor:
+/// the common currency of the open-loop load generator, the live chaos
+/// harness, the digital twin and the live benches. All times are
+/// seconds; `arrival` instants are non-decreasing within a batch.
 struct LiveArrival {
   double arrival = 0.0;
   /// Simulated execution cost (TaskSpec::simulated_duration AND the
@@ -21,7 +21,25 @@ struct LiveArrival {
   double duration = 0.0;
   double relative_deadline = 0.0;
   double weight = 1.0;
+  /// Per-attempt budget (TaskSpec::timeout_seconds); 0 = unlimited.
+  double timeout = 0.0;
+  /// Index of an earlier arrival of the same batch that must finish
+  /// first, or -1 for none. 64 bits wide, so the struct has no padding
+  /// and batches compare bytewise.
+  int64_t depends_on = -1;
 };
+
+/// Smallest task duration a live arrival or a twin forecast carries, in
+/// seconds: an exponential draw can come arbitrarily close to 0.
+inline constexpr double kMinTaskSeconds = 1e-4;
+
+/// -mean * ln(1 - U), U in [0, 1): the inverse-CDF exponential draw of
+/// the live generators and the twin's forecasts.
+/// ExponentialDistribution::Sample computes -log1p(-U) / rate, which
+/// rounds differently, so the two are not interchangeable.
+inline double ExpDraw(Rng& rng, double mean) {
+  return -mean * std::log1p(-rng.NextDouble());
+}
 
 /// Arrival-shape of the open-loop generator.
 enum class LiveArrivalShape : uint8_t {
@@ -29,8 +47,6 @@ enum class LiveArrivalShape : uint8_t {
   kOnOff,           // bursty Markov-modulated ON/OFF (workload/arrival_process)
   kFlashCrowd,      // rate spike in [spike_start, spike_start + spike_duration)
 };
-
-const char* LiveArrivalShapeName(LiveArrivalShape shape);
 
 struct LiveArrivalOptions {
   LiveArrivalShape shape = LiveArrivalShape::kPoisson;
@@ -46,8 +62,8 @@ struct LiveArrivalOptions {
   double spike_factor = 8.0;
   double spike_start = 1.0;
   double spike_duration = 1.0;
-  /// Exponential task durations with this mean (floored at a small
-  /// positive epsilon).
+  /// Exponential task durations with this mean (floored at
+  /// kMinTaskSeconds).
   double mean_duration = 0.05;
   /// relative_deadline = duration * (1 + deadline_slack * U[0,1)).
   double deadline_slack = 2.0;
@@ -57,16 +73,9 @@ struct LiveArrivalOptions {
 
 /// Materializes the whole batch up front (arrival order fixes TxnId
 /// assignment at submission, the live determinism contract). A pure
-/// function of the options, byte-stable across platforms.
+/// function of the options, byte-stable across platforms. No arrival
+/// has a timeout or a dependency.
 std::vector<LiveArrival> GenerateLiveArrivals(const LiveArrivalOptions& options);
-
-/// Trace replayer adapter: converts recorded TransactionSpecs
-/// (workload/trace.h ReadTrace) into live arrivals, sorted by (arrival,
-/// id). Dependencies are dropped — the live replayer feeds open-ended
-/// submissions. Deadlines already in the past of their arrival are
-/// clamped to a tiny positive relative deadline (Submit requires > 0).
-std::vector<LiveArrival> LiveArrivalsFromTrace(
-    const std::vector<TransactionSpec>& specs);
 
 }  // namespace webtx
 

@@ -467,7 +467,7 @@ TEST(LiveChaosTest, RunIsDigestStableAndPassesItsOwnInvariants) {
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_EQ(first.ValueOrDie().digest, second.ValueOrDie().digest);
   EXPECT_NE(first.ValueOrDie().digest, 0u);
-  const Status verdict = CheckLiveChaosInvariants(c, first.ValueOrDie());
+  const Status verdict = CheckLiveChaosInvariants(first.ValueOrDie());
   EXPECT_TRUE(verdict.ok()) << verdict;
   // The case is fault-seasoned enough to mean something.
   EXPECT_GT(first.ValueOrDie().stats.crashes +

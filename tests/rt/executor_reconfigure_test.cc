@@ -57,7 +57,8 @@ TEST(ExecutorReconfigureTest, SnapshotOfIdleExecutorIsEmpty) {
   ExecutorOptions options;
   options.num_workers = 3;
   Executor executor(Policy("EDF"), options);
-  const ExecutorSnapshot snap = executor.SnapshotAtQuiescence();
+  ExecutorSnapshot snap;
+  executor.SnapshotAtQuiescence(&snap);
   EXPECT_EQ(snap.num_workers, 3u);
   EXPECT_EQ(snap.num_workers_up, 3u);
   EXPECT_TRUE(snap.tasks.empty());
@@ -83,7 +84,8 @@ TEST(ExecutorReconfigureTest, SnapshotSeesEveryUnfinishedTaskState) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
-  const ExecutorSnapshot snap = executor.SnapshotAtQuiescence();
+  ExecutorSnapshot snap;
+  executor.SnapshotAtQuiescence(&snap);
   ASSERT_EQ(snap.tasks.size(), 3u);
   // Ascending id, per the contract.
   EXPECT_EQ(snap.tasks[0].id, blocker.ValueOrDie());
@@ -106,7 +108,8 @@ TEST(ExecutorReconfigureTest, SnapshotSeesEveryUnfinishedTaskState) {
   gate.store(true);
   executor.Drain();
   // After the drain everything finished: a fresh snapshot is empty.
-  EXPECT_TRUE(executor.SnapshotAtQuiescence().tasks.empty());
+  executor.SnapshotAtQuiescence(&snap);
+  EXPECT_TRUE(snap.tasks.empty());
   executor.Shutdown();
 }
 

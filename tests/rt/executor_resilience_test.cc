@@ -37,10 +37,10 @@ std::unique_ptr<Executor> MakeExecutor(const ExecutorOptions& options,
 }
 
 /// Submits `spec` and mirrors it into the ground-truth record list.
-TxnId SubmitTracked(Executor& exec, std::vector<LiveTaskRecord>& tasks,
-                    const TaskSpec& spec) {
+TxnId SubmitTracked(Executor& exec, const Clock& clock,
+                    std::vector<LiveTaskRecord>& tasks, const TaskSpec& spec) {
   LiveTaskRecord record;
-  record.submit_seconds = exec.NowSeconds();
+  record.submit_seconds = clock.Now();
   record.deadline_seconds = record.submit_seconds + spec.relative_deadline;
   record.max_attempts = spec.max_attempts;
   record.retry_backoff = spec.retry_backoff_seconds;
@@ -120,7 +120,7 @@ TEST(ExecutorResilienceTest, FaultSeasonedTimelineIsDigestStable) {
       spec.max_attempts = 3;
       spec.retry_backoff_seconds = 0.04;
       spec.backoff_multiplier = 2.0;
-      SubmitTracked(*exec, tasks, spec);
+      SubmitTracked(*exec, *clock, tasks, spec);
     }
     const RunRecord run = FinishRun(*exec, std::move(tasks));
     clock->DeregisterParticipant();
@@ -154,7 +154,7 @@ RunRecord FailoverRun(MigrationPolicy migration, double* finish_seconds) {
   spec.simulated_duration = 10.0;
   spec.estimated_cost = 10.0;
   spec.relative_deadline = 60.0;
-  const TxnId id = SubmitTracked(*exec, tasks, spec);
+  const TxnId id = SubmitTracked(*exec, *clock, tasks, spec);
   RunRecord run = FinishRun(*exec, std::move(tasks));
   clock->DeregisterParticipant();
   ExpectValid(run, options);
@@ -205,7 +205,7 @@ TEST(ExecutorResilienceTest, WatchdogFailsOverStalledSlots) {
       spec.simulated_duration = 0.3;
       spec.estimated_cost = 0.3;
       spec.relative_deadline = 5.0;
-      SubmitTracked(*exec, tasks, spec);
+      SubmitTracked(*exec, *clock, tasks, spec);
     }
     RunRecord run = FinishRun(*exec, std::move(tasks));
     clock->DeregisterParticipant();
@@ -251,7 +251,7 @@ TEST(ExecutorResilienceTest, RetryStormSuppressionClampsBackoffGrowth) {
     spec.max_attempts = 4;
     spec.retry_backoff_seconds = 0.05;
     spec.backoff_multiplier = 8.0;  // 0.05, 0.4, 3.2 unclamped
-    SubmitTracked(*exec, tasks, spec);
+    SubmitTracked(*exec, *clock, tasks, spec);
   }
   RunRecord run = FinishRun(*exec, std::move(tasks));
   clock->DeregisterParticipant();
@@ -290,7 +290,7 @@ TEST(ExecutorResilienceTest, GlobalRetryBudgetShedsOverflowingRetries) {
     spec.relative_deadline = 5.0;
     spec.max_attempts = 3;
     spec.retry_backoff_seconds = 0.5;  // long: backoffs overlap failures
-    SubmitTracked(*exec, tasks, spec);
+    SubmitTracked(*exec, *clock, tasks, spec);
   }
   RunRecord run = FinishRun(*exec, std::move(tasks));
   clock->DeregisterParticipant();
@@ -328,7 +328,7 @@ TEST(ExecutorResilienceTest, ForcedAbortsAreAbsorbedAndRetried) {
     spec.relative_deadline = 10.0;
     spec.max_attempts = 5;
     spec.retry_backoff_seconds = 0.02;
-    SubmitTracked(*exec, tasks, spec);
+    SubmitTracked(*exec, *clock, tasks, spec);
   }
   RunRecord run = FinishRun(*exec, std::move(tasks));
   clock->DeregisterParticipant();
@@ -370,7 +370,7 @@ TEST(ExecutorResilienceTest, BrownoutAdmissionShedsUnderSustainedOverload) {
     spec.estimated_cost = 0.15;
     spec.relative_deadline = 0.2;
     spec.weight = (i % 2 == 0) ? 1.0 : 16.0;
-    SubmitTracked(*exec, tasks, spec);
+    SubmitTracked(*exec, *clock, tasks, spec);
   }
   RunRecord run = FinishRun(*exec, std::move(tasks));
   clock->DeregisterParticipant();

@@ -244,6 +244,27 @@ TEST(InPlaceRebuildTest, MatchesFreshBuild) {
   EXPECT_GT(valid, 20u);
 }
 
+// Rebuild swaps the staging buffer with the previous build's specs and
+// hands it back empty, keeping that build's capacity, even when the new
+// set is invalid: a caller that refills one buffer every tick, as the
+// twin does, never sees the old specs.
+TEST(InPlaceRebuildTest, HandsBackAnEmptyBufferWithThePreviousCapacity) {
+  Rng rng(31);
+  SimWorkload workload;
+  std::vector<TransactionSpec> staging = MakeSet(Shape::kChains, 50, rng);
+  ASSERT_TRUE(workload.Rebuild(staging).ok());
+  EXPECT_TRUE(staging.empty());
+  staging = MakeSet(Shape::kDiamonds, 20, rng);
+  ASSERT_TRUE(workload.Rebuild(staging).ok());
+  EXPECT_EQ(workload.size(), 20u);
+  EXPECT_TRUE(staging.empty());
+  EXPECT_GE(staging.capacity(), 50u);
+  staging = MakeSet(Shape::kCycle, 10, rng);
+  EXPECT_FALSE(workload.Rebuild(staging).ok());
+  EXPECT_TRUE(staging.empty());
+  EXPECT_GE(staging.capacity(), 20u);
+}
+
 // The arrival order is a stable sort of the ids by arrival, whether the
 // arrivals already ascend by id, ascend with ties, or are out of order:
 // a single inversion at either end, a long reversed run (past the

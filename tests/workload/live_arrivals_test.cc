@@ -1,10 +1,10 @@
 // Live arrival generation (workload/live_arrivals.h): seed
-// determinism, batch invariants shared by every shape, the flash-crowd
-// density spike, and the trace-replayer adapter's sorting/clamping.
+// determinism, batch invariants shared by every shape, and the
+// flash-crowd density spike.
 
 #include "workload/live_arrivals.h"
 
-#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -38,6 +38,10 @@ void ExpectBatchInvariants(const std::vector<LiveArrival>& batch,
   }
 }
 
+// The batches below are compared bytewise, which needs a struct
+// without padding.
+static_assert(sizeof(LiveArrival) == 5 * sizeof(double) + sizeof(int64_t));
+
 TEST(LiveArrivalsTest, EveryShapeIsDeterministicPerSeedAndHonorsInvariants) {
   for (LiveArrivalShape shape :
        {LiveArrivalShape::kPoisson, LiveArrivalShape::kOnOff,
@@ -51,21 +55,15 @@ TEST(LiveArrivalsTest, EveryShapeIsDeterministicPerSeedAndHonorsInvariants) {
     // digests hang off this.
     EXPECT_EQ(0, std::memcmp(first.data(), second.data(),
                              first.size() * sizeof(LiveArrival)))
-        << LiveArrivalShapeName(shape);
+        << "shape " << static_cast<int>(shape);
 
     LiveArrivalOptions reseeded = options;
     reseeded.seed = 18;
     const std::vector<LiveArrival> other = GenerateLiveArrivals(reseeded);
     EXPECT_NE(0, std::memcmp(first.data(), other.data(),
                              first.size() * sizeof(LiveArrival)))
-        << LiveArrivalShapeName(shape);
+        << "shape " << static_cast<int>(shape);
   }
-}
-
-TEST(LiveArrivalsTest, ShapeNamesAreStable) {
-  EXPECT_STREQ(LiveArrivalShapeName(LiveArrivalShape::kPoisson), "poisson");
-  EXPECT_STREQ(LiveArrivalShapeName(LiveArrivalShape::kOnOff), "onoff");
-  EXPECT_STREQ(LiveArrivalShapeName(LiveArrivalShape::kFlashCrowd), "flash");
 }
 
 TEST(LiveArrivalsTest, FlashCrowdSpikesInsideItsWindow) {
@@ -93,42 +91,6 @@ TEST(LiveArrivalsTest, FlashCrowdSpikesInsideItsWindow) {
   }
   ASSERT_GT(before_spike, 0u);
   EXPECT_GT(in_spike, 3 * before_spike);
-}
-
-TEST(LiveArrivalsTest, TraceAdapterSortsClampsAndDropsDependencies) {
-  std::vector<TransactionSpec> specs(3);
-  specs[0].id = 7;
-  specs[0].arrival = 2.0;
-  specs[0].length = 0.5;
-  specs[0].deadline = 1.0;  // already missed at arrival: clamp
-  specs[1].id = 3;
-  specs[1].arrival = 1.0;
-  specs[1].length = 0.25;
-  specs[1].deadline = 4.0;
-  specs[1].weight = 2.5;
-  specs[1].dependencies = {7};  // dropped by the adapter
-  specs[2].id = 1;
-  specs[2].arrival = 2.0;  // ties with specs[0]: input order breaks it
-  specs[2].length = 0.125;
-  specs[2].deadline = 2.5;
-
-  const std::vector<LiveArrival> live = LiveArrivalsFromTrace(specs);
-  ASSERT_EQ(live.size(), 3u);
-  // Sorted by arrival, stable on ties: t=1 first, then the two t=2
-  // entries in input order (spec 0 before spec 2).
-  EXPECT_DOUBLE_EQ(live[0].arrival, 1.0);
-  EXPECT_DOUBLE_EQ(live[0].duration, 0.25);
-  EXPECT_DOUBLE_EQ(live[0].relative_deadline, 3.0);  // 4.0 - 1.0
-  EXPECT_DOUBLE_EQ(live[0].weight, 2.5);
-  EXPECT_DOUBLE_EQ(live[1].arrival, 2.0);
-  EXPECT_DOUBLE_EQ(live[1].duration, 0.5);
-  // The missed deadline clamps to a tiny positive relative deadline —
-  // Submit requires > 0 and the validator scores it tardy, not invalid.
-  EXPECT_GT(live[1].relative_deadline, 0.0);
-  EXPECT_LT(live[1].relative_deadline, 0.01);
-  EXPECT_DOUBLE_EQ(live[2].arrival, 2.0);
-  EXPECT_DOUBLE_EQ(live[2].duration, 0.125);
-  EXPECT_DOUBLE_EQ(live[2].relative_deadline, 0.5);  // 2.5 - 2.0
 }
 
 }  // namespace
